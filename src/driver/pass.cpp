@@ -23,11 +23,8 @@ CodeUnit cloneUnit(const CodeUnit& u, const ProgramBlock* source) {
 
 }  // namespace
 
-// NOTE: field-by-field copy of PipelineProducts, TiledKernel, TileAnalysis
-// and (via cloneUnit) CodeUnit. A field added to any of those structs must
-// be added here too — and to the serializers (plus their schema manifest)
-// in support/serialize.cpp — or warm plan-cache hits and disk replays will
-// silently drop it; see the warning on the struct in pass.h.
+// Field-by-field copy of PipelineProducts, TiledKernel, TileAnalysis and
+// (via cloneUnit) CodeUnit; the CloneParity tests fail when it misses one.
 PipelineProducts PipelineProducts::clone() const {
   PipelineProducts out;
   if (input) out.input = std::make_unique<ProgramBlock>(*input);

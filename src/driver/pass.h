@@ -24,12 +24,10 @@ namespace emm {
 
 /// Everything the pipeline produces. The working CompileState and the final
 /// CompileResult both embed this struct; Compiler::compile() moves it
-/// wholesale, so a field added here flows to results automatically — but
-/// clone() below copies field by field (the unique_ptr-held blocks make the
-/// struct non-copyable), so ADDING A FIELD REQUIRES EXTENDING clone() in
-/// pass.cpp AND the serializers (plus their schema manifest) in
-/// support/serialize.cpp, or warm plan-cache hits / disk replays will
-/// silently default-initialize it.
+/// wholesale, so a field added here flows to results automatically. Its
+/// persisted form is its field list in support/serialize.cpp; clone() below
+/// copies field by field (the unique_ptr-held blocks make the struct
+/// non-copyable), and the CloneParity tests fail when it misses one.
 /// Program blocks live behind unique_ptr so CodeUnit/DataPlan back-pointers
 /// into them survive those moves.
 struct PipelineProducts {

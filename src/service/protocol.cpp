@@ -6,51 +6,113 @@
 #include <cstring>
 
 #include "support/diagnostics.h"
+#include "support/schema.h"
 
-namespace emm::svc {
+namespace emm {
 
-namespace {
+namespace schema {
 
-// Payload struct tags, same discipline as the serialize.cpp tag table but
-// scoped to the wire payloads (the envelope has its own magic/version).
+// Payload struct tags, same discipline as the plan tag table
+// (support/schema.h) but scoped to the wire payloads (the envelope has its
+// own magic/version).
 enum : unsigned char {
   kTagCompileRequest = 0xA1,
-  kTagCompileReply = 0xA2,
-  kTagStatsReply = 0xA3,
-  kTagErrorReply = 0xA4,
+  kTagCompileReply,
+  kTagStatsReply,
+  kTagErrorReply,
+  kTagCacheStats,
+  kTagDiskStats,
 };
 
-void expectTag(ByteReader& r, unsigned char tag, const char* what) {
-  unsigned char got = r.u8();
-  if (got != tag)
-    throw SerializeError(std::string("bad tag for ") + what + " (got " + std::to_string(got) +
-                         ", want " + std::to_string(tag) + ")");
+void checkRequest(const svc::CompileRequest& req) {
+  if (req.kernel.empty() && !req.block.has_value())
+    throw SerializeError("compile request names no kernel and carries no block");
+  if (!req.kernel.empty() && req.block.has_value())
+    throw SerializeError("compile request names a kernel AND carries a block");
+  if (req.block.has_value()) req.block->validate();
 }
 
-void writeI64Vec(ByteWriter& w, const std::vector<i64>& v) {
-  w.u64v(v.size());
-  for (i64 x : v) w.i64v(x);
+template <class V, Is<svc::CompileRequest> S>
+void fields(V& v, S& q) {
+  v.tag(kTagCompileRequest, "CompileRequest");
+  v(q.schemaFingerprint, "schemaFingerprint");
+  v(q.kernel, "kernel");
+  v(q.sizes, "sizes");
+  v(q.block, "block");
+  v(q.options, "options");
+  v(q.skipPasses, "skipPasses");
+  v.onDecode(q, checkRequest);
 }
 
-std::vector<i64> readI64Vec(ByteReader& r) {
-  u64 n = r.count(8);
-  std::vector<i64> out;
-  out.reserve(n);
-  for (u64 i = 0; i < n; ++i) out.push_back(r.i64v());
-  return out;
+/// The reply header. The CompileResult follows it as its own
+/// length-prefixed serializeCompileResult payload; roundTripMillis is
+/// client-side only.
+template <class V, Is<svc::WireCompileReply> S>
+void fields(V& v, S& r) {
+  v.tag(kTagCompileReply, "CompileReply");
+  v(r.serverCacheHit, "serverCacheHit");
+  v(r.serverDiskHit, "serverDiskHit");
+  v(r.serverFamilyHit, "serverFamilyHit");
+  v(r.serverMillis, "serverMillis");
 }
 
-void writeStrVec(ByteWriter& w, const std::vector<std::string>& v) {
-  w.u64v(v.size());
-  for (const std::string& s : v) w.str(s);
+template <class V, Is<PlanCache::Stats> S>
+void fields(V& v, S& s) {
+  v.tag(kTagCacheStats, "CacheStats");
+  v(s.hits, "hits");
+  v(s.misses, "misses");
+  v(s.entries, "entries");
+  v(s.evictions, "evictions");
+  v(s.familyHits, "familyHits");
+  v(s.familyMisses, "familyMisses");
+  v(s.familyEntries, "familyEntries");
+  v(s.familyEvictions, "familyEvictions");
 }
 
-std::vector<std::string> readStrVec(ByteReader& r) {
-  u64 n = r.count();
-  std::vector<std::string> out;
-  for (u64 i = 0; i < n; ++i) out.push_back(r.str());
-  return out;
+template <class V, Is<DiskPlanCache::Stats> S>
+void fields(V& v, S& s) {
+  v.tag(kTagDiskStats, "DiskStats");
+  v(s.hits, "hits");
+  v(s.misses, "misses");
+  v(s.rejects, "rejects");
+  v(s.evictions, "evictions");
+  v(s.insertions, "insertions");
+  v(s.entries, "entries");
+  v(s.bytes, "bytes");
+  v(s.familyHits, "familyHits");
+  v(s.familyMisses, "familyMisses");
+  v(s.familyRejects, "familyRejects");
+  v(s.familyInsertions, "familyInsertions");
+  v(s.familyEntries, "familyEntries");
+  v(s.familyBytes, "familyBytes");
 }
+
+template <class V, Is<svc::WireStats> S>
+void fields(V& v, S& s) {
+  v.tag(kTagStatsReply, "StatsReply");
+  v(s.connections, "connections");
+  v(s.requests, "requests");
+  v(s.compiles, "compiles");
+  v(s.compileErrors, "compileErrors");
+  v(s.protocolErrors, "protocolErrors");
+  v(s.familyFastPath, "familyFastPath");
+  v(s.memory, "memory");
+  v(s.haveDisk, "haveDisk");
+  v(s.disk, "disk");
+}
+
+template <class V, Is<svc::WireError> S>
+void fields(V& v, S& e) {
+  v.tag(kTagErrorReply, "ErrorReply");
+  v(e.shuttingDown, "shuttingDown");
+  v(e.message, "message");
+}
+
+}  // namespace schema
+
+namespace svc {
+
+namespace {
 
 bool sendAll(int fd, const char* data, size_t n) {
   while (n > 0) {
@@ -143,146 +205,54 @@ std::pair<MsgType, std::string> decodeFrame(std::string_view frame) {
 }
 
 std::string encodeCompileRequest(const CompileRequest& request) {
-  ByteWriter w;
-  w.u8(kTagCompileRequest);
-  w.u64v(request.schemaFingerprint);
-  w.str(request.kernel);
-  writeI64Vec(w, request.sizes);
-  w.boolean(request.block.has_value());
-  if (request.block.has_value()) w.str(serializeProgramBlock(*request.block));
-  w.str(serializeCompileOptions(request.options));
-  writeStrVec(w, request.skipPasses);
-  return w.take();
+  return schema::encodeBytes(request);
 }
 
 CompileRequest decodeCompileRequest(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagCompileRequest, "CompileRequest");
-  CompileRequest req;
-  req.schemaFingerprint = r.u64v();
-  req.kernel = r.str();
-  req.sizes = readI64Vec(r);
-  if (r.boolean()) req.block = deserializeProgramBlock(r.str());
-  req.options = deserializeCompileOptions(r.str());
-  req.skipPasses = readStrVec(r);
-  r.expectEnd();
-  if (req.kernel.empty() && !req.block.has_value())
-    throw SerializeError("compile request names no kernel and carries no block");
-  if (!req.kernel.empty() && req.block.has_value())
-    throw SerializeError("compile request names a kernel AND carries a block");
-  return req;
+  CompileRequest request;
+  schema::decodeBytes(payload, request, "compile request");
+  return request;
 }
 
 std::string encodeCompileReply(const CompileResult& result, double serverMillis) {
+  WireCompileReply header;  // the result rides as its own payload below
+  header.serverCacheHit = result.cacheHit;
+  header.serverDiskHit = result.diskHit;
+  header.serverFamilyHit = result.familyHit;
+  header.serverMillis = serverMillis;
   ByteWriter w;
-  w.u8(kTagCompileReply);
-  w.boolean(result.cacheHit);
-  w.boolean(result.diskHit);
-  w.boolean(result.familyHit);
-  w.f64(serverMillis);
+  schema::encode(w, header);
   w.str(serializeCompileResult(result));
   return w.take();
 }
 
 WireCompileReply decodeCompileReply(std::string_view payload) {
   ByteReader r(payload);
-  expectTag(r, kTagCompileReply, "CompileReply");
   WireCompileReply reply;
-  reply.serverCacheHit = r.boolean();
-  reply.serverDiskHit = r.boolean();
-  reply.serverFamilyHit = r.boolean();
-  reply.serverMillis = r.f64();
+  schema::decode(r, reply);
   reply.result = deserializeCompileResult(r.str());
   r.expectEnd();
   return reply;
 }
 
-std::string encodeStatsReply(const WireStats& s) {
-  ByteWriter w;
-  w.u8(kTagStatsReply);
-  w.i64v(s.connections);
-  w.i64v(s.requests);
-  w.i64v(s.compiles);
-  w.i64v(s.compileErrors);
-  w.i64v(s.protocolErrors);
-  w.i64v(s.familyFastPath);
-  w.i64v(s.memory.hits);
-  w.i64v(s.memory.misses);
-  w.i64v(s.memory.entries);
-  w.i64v(s.memory.evictions);
-  w.i64v(s.memory.familyHits);
-  w.i64v(s.memory.familyMisses);
-  w.i64v(s.memory.familyEntries);
-  w.i64v(s.memory.familyEvictions);
-  w.boolean(s.haveDisk);
-  w.i64v(s.disk.hits);
-  w.i64v(s.disk.misses);
-  w.i64v(s.disk.rejects);
-  w.i64v(s.disk.evictions);
-  w.i64v(s.disk.insertions);
-  w.i64v(s.disk.entries);
-  w.i64v(s.disk.bytes);
-  w.i64v(s.disk.familyHits);
-  w.i64v(s.disk.familyMisses);
-  w.i64v(s.disk.familyRejects);
-  w.i64v(s.disk.familyInsertions);
-  w.i64v(s.disk.familyEntries);
-  w.i64v(s.disk.familyBytes);
-  return w.take();
+std::string encodeStatsReply(const WireStats& stats) {
+  return schema::encodeBytes(stats);
 }
 
 WireStats decodeStatsReply(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagStatsReply, "StatsReply");
-  WireStats s;
-  s.connections = r.i64v();
-  s.requests = r.i64v();
-  s.compiles = r.i64v();
-  s.compileErrors = r.i64v();
-  s.protocolErrors = r.i64v();
-  s.familyFastPath = r.i64v();
-  s.memory.hits = r.i64v();
-  s.memory.misses = r.i64v();
-  s.memory.entries = r.i64v();
-  s.memory.evictions = r.i64v();
-  s.memory.familyHits = r.i64v();
-  s.memory.familyMisses = r.i64v();
-  s.memory.familyEntries = r.i64v();
-  s.memory.familyEvictions = r.i64v();
-  s.haveDisk = r.boolean();
-  s.disk.hits = r.i64v();
-  s.disk.misses = r.i64v();
-  s.disk.rejects = r.i64v();
-  s.disk.evictions = r.i64v();
-  s.disk.insertions = r.i64v();
-  s.disk.entries = r.i64v();
-  s.disk.bytes = r.i64v();
-  s.disk.familyHits = r.i64v();
-  s.disk.familyMisses = r.i64v();
-  s.disk.familyRejects = r.i64v();
-  s.disk.familyInsertions = r.i64v();
-  s.disk.familyEntries = r.i64v();
-  s.disk.familyBytes = r.i64v();
-  r.expectEnd();
-  return s;
+  WireStats stats;
+  schema::decodeBytes(payload, stats, "stats reply");
+  return stats;
 }
 
 std::string encodeErrorReply(const WireError& error) {
-  ByteWriter w;
-  w.u8(kTagErrorReply);
-  w.boolean(error.shuttingDown);
-  w.str(error.message);
-  return w.take();
+  return schema::encodeBytes(error);
 }
 
 WireError decodeErrorReply(std::string_view payload) {
-  ByteReader r(payload);
-  expectTag(r, kTagErrorReply, "ErrorReply");
-  WireError e;
-  e.shuttingDown = r.boolean();
-  e.message = r.str();
-  r.expectEnd();
-  return e;
+  WireError error;
+  schema::decodeBytes(payload, error, "error reply");
+  return error;
 }
 
 bool writeFrame(int fd, MsgType type, std::string_view payload) {
@@ -320,4 +290,5 @@ ReadStatus readFrame(int fd, MsgType& type, std::string& payload, std::string& e
   return ReadStatus::Ok;
 }
 
-}  // namespace emm::svc
+}  // namespace svc
+}  // namespace emm

@@ -50,8 +50,11 @@ namespace emm::svc {
 inline constexpr u32 kWireMagic = 0x524D4D45;
 /// Frame envelope version; bumped on any framing change. v2 added the
 /// familyFastPath counter to the StatsReply payload (the daemon's
-/// connection-thread record-bind path).
-inline constexpr u32 kWireVersion = 2;
+/// connection-thread record-bind path); v3 encodes every payload from its
+/// field list (support/schema.h): lists carry the list tag, nested structs
+/// their own tag, and a CompileRequest embeds its block and options
+/// directly instead of as length-prefixed byte strings.
+inline constexpr u32 kWireVersion = 3;
 /// Upper bound on a frame payload; a hostile length prefix above this is
 /// rejected before any allocation.
 inline constexpr u64 kMaxFramePayloadBytes = u64(64) << 20;

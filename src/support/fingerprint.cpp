@@ -2,8 +2,7 @@
 
 #include <cstring>
 
-#include "driver/options.h"
-#include "ir/program.h"
+#include "support/schema.h"
 
 namespace emm {
 
@@ -64,100 +63,18 @@ u64 hashCombine(u64 a, u64 b) {
   return h.digest();
 }
 
-namespace {
-
-void mixMatrix(Hasher& h, const IntMat& m) {
-  h.mix(m.rows());
-  h.mix(m.cols());
-  for (int r = 0; r < m.rows(); ++r)
-    for (int c = 0; c < m.cols(); ++c) h.mix(m.at(r, c));
-}
-
-void mixPolyhedron(Hasher& h, const Polyhedron& p) {
-  h.mix(p.dim());
-  h.mix(p.nparam());
-  mixMatrix(h, p.equalities());
-  mixMatrix(h, p.inequalities());
-}
-
-void mixExpr(Hasher& h, const ExprPtr& e) {
-  if (e == nullptr) {
-    h.mix(i64{-1});
-    return;
-  }
-  h.mix(static_cast<i64>(e->kind()));
-  switch (e->kind()) {
-    case Expr::Kind::Const:
-      h.mix(e->constValue());
-      break;
-    case Expr::Kind::Load:
-      h.mix(e->accessIndex());
-      break;
-    default:
-      mixExpr(h, e->lhs());
-      mixExpr(h, e->rhs());
-      break;
-  }
-}
-
-}  // namespace
+// The key hashes walk the same field lists as the serializer
+// (support/schema.h), so a field added to either struct joins its key.
 
 u64 hashProgramBlock(const ProgramBlock& block) {
   Hasher h;
-  h.mix(block.name);
-  h.mix(block.paramNames);
-  h.mix(static_cast<i64>(block.arrays.size()));
-  for (const ArrayDecl& a : block.arrays) {
-    h.mix(a.name);
-    h.mix(a.extents);
-  }
-  h.mix(static_cast<i64>(block.statements.size()));
-  for (const Statement& st : block.statements) {
-    h.mix(st.name);
-    mixPolyhedron(h, st.domain);
-    h.mix(static_cast<i64>(st.accesses.size()));
-    for (const Access& acc : st.accesses) {
-      h.mix(acc.arrayId);
-      h.mix(acc.isWrite);
-      mixMatrix(h, acc.fn);
-    }
-    h.mix(st.writeAccess);
-    mixExpr(h, st.rhs);
-    mixMatrix(h, st.schedule);
-  }
+  schema::hash(h, block);
   return h.digest();
 }
 
-u64 hashCompileOptions(const CompileOptions& o) {
+u64 hashCompileOptions(const CompileOptions& options) {
   Hasher h;
-  h.mix(o.paramValues);
-  h.mix(static_cast<i64>(o.mode));
-  h.mix(o.delta);
-  h.mix(static_cast<i64>(o.partitionMode));
-  h.mix(o.stageEverything);
-  h.mix(o.optimizeCopySets);
-  h.mix(o.subTile);
-  h.mix(o.blockTile);
-  h.mix(o.threadTile);
-  h.mix(o.hoistCopies);
-  h.mix(o.useScratchpad);
-  h.mix(static_cast<i64>(o.searchMode));
-  h.mix(o.memLimitBytes);
-  h.mix(o.elementBytes);
-  h.mix(o.innerProcs);
-  h.mix(o.syncCost);
-  h.mix(o.transferCost);
-  h.mix(o.tileCandidates);
-  h.mix(o.parametricTileAnalysis);
-  h.mix(o.packBuffers);
-  h.mix(o.smemBanks);
-  h.mix(o.smemBankWidthBytes);
-  h.mix(o.backendName);
-  h.mix(o.kernelName);
-  h.mix(o.elementType);
-  h.mix(o.numBoundParams);
-  h.mix(o.doubleBuffer);
-  h.mix(o.runtimeSizeArgs);
+  schema::hash(h, options);
   return h.digest();
 }
 

@@ -7,6 +7,8 @@
 // hash equal; any mutation of a bound, statement, or access changes the
 // digest. hashCompileOptions does the same for the full option set, so
 // (block fingerprint, options fingerprint) keys the driver's PlanCache.
+// Both walk the field lists of support/schema.h, the lists the serializer
+// encodes, so a field added to either struct joins its key.
 //
 // The digest is 64-bit FNV-1a with length-prefixed fields, which keeps it
 // stable across processes and platforms (no pointer or iteration-order

@@ -9,14 +9,22 @@
 // truncation throws SerializeError instead of crashing or fabricating a
 // plan.
 //
+// Every persisted struct names its fields once, in a field list
+// (support/schema.h); the encoder, the decoder, the schema manifest and the
+// cache-key hashes of support/fingerprint.h all walk that list. The lists
+// of the plan products are in serialize.cpp, next to the hand-written
+// codecs for what is not a plain field list: expression trees, matrices and
+// polyhedra, the CodeUnit::source / DataPlan::block back-references, and
+// the post-decode cross-checks.
+//
 // Versioning has two layers (see docs/PLAN_FORMAT.md for the policy):
 //  - kPlanFormatVersion: the container framing (header layout, tag
 //    discipline). Bumped when the envelope changes shape.
-//  - serializeSchemaFingerprint(): a digest of the schema manifest string in
-//    serialize.cpp, which enumerates every serialized struct field by field.
-//    Changing any serializer requires editing the manifest, which changes
-//    the fingerprint, which makes older files reject cleanly. This is the
-//    "build fingerprint" of the .emmplan header.
+//  - serializeSchemaFingerprint(): a digest of the schema manifest the field
+//    lists generate, one entry per struct with its tag and every field's
+//    name and type. Any layout change moves the fingerprint by itself,
+//    which makes older files reject cleanly. This is the "build
+//    fingerprint" of the .emmplan header.
 //
 // Round-trip guarantee: deserializeCompileResult(serializeCompileResult(r))
 // reproduces r field by field — same emitted artifact bytes, same costs and
@@ -61,8 +69,8 @@ public:
 inline constexpr u32 kPlanFormatVersion = 4;
 
 /// Digest of the serialization schema compiled into this binary (the
-/// manifest string in serialize.cpp). Two binaries agree on this value iff
-/// they agree on every serialized struct layout.
+/// manifest generated from the field lists). Two binaries agree on this
+/// value iff they agree on every serialized struct layout.
 u64 serializeSchemaFingerprint();
 
 /// FNV-1a digest of a byte range; used for payload checksums and for the

@@ -57,8 +57,9 @@
 
 namespace emm {
 
-class ByteReader;
-class ByteWriter;
+namespace schema {
+struct PlanFields;
+}
 
 class ParametricTilePlan {
 public:
@@ -225,8 +226,9 @@ private:
   i64 volumeCap_ = 0;
   bool onlyBeneficial_ = false;
 
-  friend void serializeParametricPlanBody(ByteWriter& w, const ParametricTilePlan& plan);
-  friend ParametricTilePlan deserializeParametricPlanBody(ByteReader& r);
+  // The plan's field list (support/serialize.cpp) reaches the compiled
+  // formulas, which are private by design.
+  friend struct schema::PlanFields;
 };
 
 /// Plan-only re-run of the tile-size solver at one size binding: ladder

@@ -5,6 +5,7 @@
 // deserialized code unit must execute identically in the interpreter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -188,6 +189,55 @@ TEST(PlanRoundTrip, CudaAndCellArtifactsSurvive) {
     EXPECT_FALSE(r.artifact.empty());
     expectRoundTripIdentity(r);
   }
+}
+
+// ---- Clone parity. ----
+
+/// clone() is the one field-by-field copy the field lists do not generate.
+/// The serializer walks every persisted field, so a clone that drops or
+/// alters one shows up as a byte difference; its back-pointers must land on
+/// the clone's own blocks, never on the original's.
+void expectCloneParity(const CompileResult& r) {
+  const CompileResult copy = r.clone();
+  EXPECT_EQ(serializeCompileResult(copy), serializeCompileResult(r));
+  const std::vector<const ProgramBlock*> own = {
+      copy.input.get(), copy.transformed.get(),
+      copy.kernel ? copy.kernel->analysis.tileBlock.get() : nullptr};
+  auto pointsIntoClone = [&](const ProgramBlock* p) {
+    return p != nullptr && std::find(own.begin(), own.end(), p) != own.end();
+  };
+  ASSERT_EQ(copy.unit() != nullptr, r.unit() != nullptr);
+  if (r.unit() != nullptr && r.unit()->source != nullptr)
+    EXPECT_TRUE(pointsIntoClone(copy.unit()->source));
+  ASSERT_EQ(copy.dataPlan() != nullptr, r.dataPlan() != nullptr);
+  if (r.dataPlan() != nullptr && r.dataPlan()->block != nullptr)
+    EXPECT_TRUE(pointsIntoClone(copy.dataPlan()->block));
+}
+
+TEST(CloneParity, EveryBuiltinKernelOnEveryBackend) {
+  for (const std::string& name : builtinKernelNames())
+    for (const std::string backend : {"c", "cuda", "cell"}) {
+      SCOPED_TRACE(name + "/" + backend);
+      CompileResult r = compileKernel(name, backend);
+      ASSERT_TRUE(r.ok) << r.firstError();
+      expectCloneParity(r);
+    }
+}
+
+TEST(CloneParity, FamilyBoundResult) {
+  // The Figure-4 ME family (bench/svc_family_bind.cpp): the second size
+  // binds the first one's size-generic record.
+  PlanCache cache;
+  auto compileMe = [&](i64 ni) {
+    Compiler c(buildMeBlock(ni, 1024, 16));
+    c.parameters({ni, 1024, 16}).memoryLimitBytes(16 * 1024).backend("cuda").cache(&cache);
+    return c.compile();
+  };
+  ASSERT_TRUE(compileMe(512).ok);
+  CompileResult bound = compileMe(1024);
+  ASSERT_TRUE(bound.ok) << bound.firstError();
+  ASSERT_TRUE(bound.artifactBound);  // served by bindFamilyArtifact
+  expectCloneParity(bound);
 }
 
 TEST(PlanRoundTrip, DeserializedUnitExecutesIdentically) {

@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <thread>
+#include <utility>
 
 #include "driver/compiler.h"
 #include "driver/plan_cache.h"
 #include "ir/interp.h"
 #include "kernels/blocks.h"
 #include "support/fingerprint.h"
+#include "support/schema.h"
+#include "support/serialize.h"
 #include "support/thread_pool.h"
 #include "tilesearch/tile_evaluator.h"
 
@@ -79,32 +83,89 @@ TEST(Fingerprint, AnyStructuralMutationChangesTheHash) {
   EXPECT_NE(hashProgramBlock(b), h);
 }
 
+/// Counts the entries of a field list.
+struct FieldCounter {
+  size_t n = 0;
+  void tag(unsigned char, const char*) {}
+  bool present(bool flag) { return flag; }
+  template <class T, class F>
+  void onDecode(const T&, F) {}
+  template <class F, class... Rule>
+  void operator()(const F&, const char*, const Rule&...) {
+    ++n;
+  }
+};
+
 TEST(Fingerprint, OptionsHashCoversEveryKnob) {
   CompileOptions base;
   base.paramValues = {64, 64, 8};
   const u64 h = hashCompileOptions(base);
+  const std::string bytes = serializeCompileOptions(base);
 
-  auto mutated = [&](auto&& mutate) {
+  // One mutation per CompileOptions field. Each must move the cache key AND
+  // the canonical encoding the .emmplan collision guard digests, and the
+  // mutated set must survive a decode with its hash intact.
+  const std::vector<std::pair<std::string, std::function<void(CompileOptions&)>>> knobs = {
+      {"paramValues", [](CompileOptions& o) { o.paramValues[0] = 65; }},
+      {"mode", [](CompileOptions& o) { o.mode = PipelineMode::ScratchpadOnly; }},
+      {"delta", [](CompileOptions& o) { o.delta = 0.5; }},
+      {"partitionMode", [](CompileOptions& o) { o.partitionMode = PartitionMode::PerArrayUnion; }},
+      {"stageEverything", [](CompileOptions& o) { o.stageEverything = true; }},
+      {"optimizeCopySets", [](CompileOptions& o) { o.optimizeCopySets = true; }},
+      {"subTile", [](CompileOptions& o) { o.subTile = {8, 8, 8}; }},
+      {"blockTile", [](CompileOptions& o) { o.blockTile = {16, 16}; }},
+      {"threadTile", [](CompileOptions& o) { o.threadTile = {4, 4}; }},
+      {"hoistCopies", [](CompileOptions& o) { o.hoistCopies = false; }},
+      {"useScratchpad", [](CompileOptions& o) { o.useScratchpad = false; }},
+      {"searchMode", [](CompileOptions& o) { o.searchMode = TileSearchMode::Exhaustive; }},
+      {"memLimitBytes", [](CompileOptions& o) { o.memLimitBytes = 8 * 1024; }},
+      {"elementBytes", [](CompileOptions& o) { o.elementBytes = 8; }},
+      {"innerProcs", [](CompileOptions& o) { o.innerProcs = 16; }},
+      {"syncCost", [](CompileOptions& o) { o.syncCost = 64; }},
+      {"transferCost", [](CompileOptions& o) { o.transferCost = 8; }},
+      {"tileCandidates", [](CompileOptions& o) { o.tileCandidates = {{4}, {4}, {4}}; }},
+      {"parametricTileAnalysis", [](CompileOptions& o) { o.parametricTileAnalysis = false; }},
+      {"packBuffers", [](CompileOptions& o) { o.packBuffers = false; }},
+      {"smemBanks", [](CompileOptions& o) { o.smemBanks = 32; }},
+      {"smemBankWidthBytes", [](CompileOptions& o) { o.smemBankWidthBytes = 8; }},
+      {"backendName", [](CompileOptions& o) { o.backendName = "cuda"; }},
+      {"kernelName", [](CompileOptions& o) { o.kernelName = "k2"; }},
+      {"elementType", [](CompileOptions& o) { o.elementType = "double"; }},
+      {"numBoundParams", [](CompileOptions& o) { o.numBoundParams = 2; }},
+      {"doubleBuffer", [](CompileOptions& o) { o.doubleBuffer = true; }},
+      {"runtimeSizeArgs", [](CompileOptions& o) { o.runtimeSizeArgs = false; }},
+  };
+  // A field added to the list without a mutation here fails this count.
+  FieldCounter counter;
+  schema::fields(counter, std::as_const(base));
+  EXPECT_EQ(knobs.size(), counter.n);
+
+  for (const auto& [name, mutate] : knobs) {
     CompileOptions o = base;
     mutate(o);
-    return hashCompileOptions(o);
-  };
-  EXPECT_NE(mutated([](CompileOptions& o) { o.paramValues[0] = 65; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.mode = PipelineMode::ScratchpadOnly; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.delta = 0.5; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.partitionMode = PartitionMode::PerArrayUnion; }),
-            h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.stageEverything = true; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.subTile = {8, 8, 8}; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.hoistCopies = false; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.searchMode = TileSearchMode::Exhaustive; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.memLimitBytes = 8 * 1024; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.innerProcs = 16; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.tileCandidates = {{4}, {4}, {4}}; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.parametricTileAnalysis = false; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.backendName = "cuda"; }), h);
-  EXPECT_NE(mutated([](CompileOptions& o) { o.kernelName = "k2"; }), h);
+    EXPECT_NE(hashCompileOptions(o), h) << name;
+    const std::string mutatedBytes = serializeCompileOptions(o);
+    EXPECT_NE(mutatedBytes, bytes) << name;
+    EXPECT_EQ(hashCompileOptions(deserializeCompileOptions(mutatedBytes)), hashCompileOptions(o))
+        << name;
+  }
   EXPECT_EQ(hashCompileOptions(base), h);  // hashing is pure
+}
+
+TEST(Fingerprint, KeyHashesStayIndependentOfTheCollisionDigests) {
+  // The .emmplan header pairs the 64-bit key with digests of the canonical
+  // encodings so a key collision is caught. A key that were simply the
+  // digest of those bytes would compare with itself.
+  for (const std::string& name : builtinKernelNames()) {
+    SCOPED_TRACE(name);
+    IntVec params;
+    const ProgramBlock block = buildKernelByName(name, {}, params);
+    EXPECT_NE(hashProgramBlock(block), digestBytes(serializeProgramBlock(block)));
+    CompileOptions options;
+    options.paramValues = params;
+    options.kernelName = name;
+    EXPECT_NE(hashCompileOptions(options), digestBytes(serializeCompileOptions(options)));
+  }
 }
 
 // ---- Thread pool. ----
