@@ -92,7 +92,9 @@ void runJacobi2d(bool packed, BankConflictStats& stats, double& diff) {
     std::printf("  jacobi2d: compile failed: %s\n", r.firstError().c_str());
     return;
   }
-  markThreadParallel(*r.scratchpadUnit->root, "c1");
+  AstPtr root = r.scratchpadUnit->root->clone();  // the result's AST is shared
+  markThreadParallel(*root, "c1");
+  r.scratchpadUnit->root = std::move(root);
   BankConflictOptions bc;
   stats = countBankConflicts(*r.scratchpadUnit, {n, m, t}, bc);
   diff = oracleDiff(buildJacobi2dBlock(n, m, t), *r.scratchpadUnit, {n, m, t});

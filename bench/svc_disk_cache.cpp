@@ -5,7 +5,8 @@
 //  2. disk-warm — fresh process simulated by a new Compiler with only the
 //                 DiskPlanCache attached: one file read + header checks +
 //                 payload deserialization replaces the whole pipeline,
-//  3. mem-warm  — in-memory PlanCache hit: one deep clone.
+//  3. mem-warm  — in-memory PlanCache hit: one copy sharing the entry's
+//                 blocks and AST.
 //
 // Correctness lines assert that all three tiers emit byte-identical CUDA
 // source and choose the same tile, and that corrupting the entry degrades

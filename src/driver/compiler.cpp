@@ -26,20 +26,6 @@ const PassTiming* CompileResult::timing(const std::string& pass) const {
   return nullptr;
 }
 
-CompileResult CompileResult::clone() const {
-  CompileResult out;
-  static_cast<PipelineProducts&>(out) = PipelineProducts::clone();
-  out.ok = ok;
-  out.cacheHit = cacheHit;
-  out.diskHit = diskHit;
-  out.familyHit = familyHit;
-  out.artifactBound = artifactBound;
-  out.boundArgs = boundArgs;
-  out.diagnostics = diagnostics;
-  out.timings = timings;
-  return out;
-}
-
 Compiler& Compiler::source(ProgramBlock block) {
   block.validate();
   source_ = std::move(block);
@@ -220,6 +206,29 @@ u64 familyPassesDigest(const std::vector<std::string>& skipped) {
   return skippedPassDigest(relevant);
 }
 
+/// The family tier's key and its collision digests, computed from the
+/// size-canonical forms of one request.
+struct FamilyKeys {
+  FamilyKey key;
+  u64 blockDigest = 0;    ///< digest of the canonical block's bytes
+  u64 optionsDigest = 0;  ///< digest of the canonical options' bytes
+  /// The memory tier's collision digest.
+  u64 digest() const { return hashCombine(blockDigest, optionsDigest); }
+};
+
+FamilyKeys familyKeysFor(const ProgramBlock& block, const CompileOptions& options,
+                         const std::vector<std::string>& skipped) {
+  const ProgramBlock famBlock = familyCanonicalBlock(block);
+  const CompileOptions famOptions = familyCanonicalOptions(options);
+  FamilyKeys k;
+  k.key.block = hashProgramBlock(famBlock);
+  k.key.options = hashCompileOptions(famOptions);
+  k.key.passes = familyPassesDigest(skipped);
+  k.blockDigest = digestBytes(serializeProgramBlock(famBlock));
+  k.optionsDigest = digestBytes(serializeCompileOptions(famOptions));
+  return k;
+}
+
 }  // namespace
 
 CompileResult Compiler::compile() {
@@ -250,23 +259,15 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
       return std::move(*hit);
   }
   // Family tier: one size-generic plan per kernel family (same block and
-  // options modulo the problem sizes). Canonical forms, keys and digests
-  // are computed ONCE, up front — runPipeline() may consume source_ on
-  // one-shot async snapshots, so nothing below may touch it afterwards.
-  const ProgramBlock famBlock = familyCanonicalBlock(*source_);
-  const CompileOptions famOptions = familyCanonicalOptions(opts);
-  FamilyKey fkey;
-  fkey.block = hashProgramBlock(famBlock);
-  fkey.options = hashCompileOptions(famOptions);
-  fkey.passes = familyPassesDigest(skipped_);
-  const u64 famBlockDigest = digestBytes(serializeProgramBlock(famBlock));
-  const u64 famOptionsDigest = digestBytes(serializeCompileOptions(famOptions));
-  const u64 fdigest = hashCombine(famBlockDigest, famOptionsDigest);
+  // options modulo the problem sizes). Keys and digests are computed ONCE,
+  // up front — runPipeline() may consume source_ on one-shot async
+  // snapshots, so nothing below may touch it afterwards.
+  const FamilyKeys fam = familyKeysFor(*source_, opts, skipped_);
   std::shared_ptr<const FamilyPlan> family;
-  if (cache_ != nullptr) family = cache_->lookupFamily(fkey, fdigest);
+  if (cache_ != nullptr) family = cache_->lookupFamily(fam.key, fam.digest());
   if (family == nullptr && disk != nullptr) {
-    family = disk->lookupFamily(fkey, famBlockDigest, famOptionsDigest);
-    if (family != nullptr && cache_ != nullptr) cache_->insertFamily(fkey, fdigest, family);
+    family = disk->lookupFamily(fam.key, fam.blockDigest, fam.optionsDigest);
+    if (family != nullptr && cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), family);
   }
   // Binder fast path: a size-generic family record serves this size with
   // no pipeline run and no emission. The per-size disk entry is skipped on
@@ -292,8 +293,9 @@ CompileResult Compiler::computeWithDiskTier(const PlanKey& key) {
     // so a racing sweep member sees the family as soon as the plan exists.
     if (produced != nullptr) {
       attachFamilyRecord(*produced, result, opts);
-      if (cache_ != nullptr) cache_->insertFamily(fkey, fdigest, produced);
-      if (disk != nullptr) disk->insertFamily(fkey, famBlockDigest, famOptionsDigest, produced);
+      if (cache_ != nullptr) cache_->insertFamily(fam.key, fam.digest(), produced);
+      if (disk != nullptr)
+        disk->insertFamily(fam.key, fam.blockDigest, fam.optionsDigest, produced);
     }
     // The disk tier never fails a compile: a full or read-only cache
     // directory silently degrades to cold compiles.
@@ -307,15 +309,8 @@ std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) 
   if (std::find(skipped_.begin(), skipped_.end(), "codegen") != skipped_.end())
     return std::nullopt;
   const CompileOptions opts = effectiveOptions();
-  const ProgramBlock famBlock = familyCanonicalBlock(block);
-  const CompileOptions famOptions = familyCanonicalOptions(opts);
-  FamilyKey fkey;
-  fkey.block = hashProgramBlock(famBlock);
-  fkey.options = hashCompileOptions(famOptions);
-  fkey.passes = familyPassesDigest(skipped_);
-  const u64 fdigest = hashCombine(digestBytes(serializeProgramBlock(famBlock)),
-                                  digestBytes(serializeCompileOptions(famOptions)));
-  std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fkey, fdigest);
+  const FamilyKeys fam = familyKeysFor(block, opts, skipped_);
+  std::shared_ptr<const FamilyPlan> family = cache_->lookupFamily(fam.key, fam.digest());
   if (family == nullptr || !family->haveRecord) return std::nullopt;
   return bindFamilyArtifact(*family, block, opts, nullptr);
 }
@@ -331,8 +326,8 @@ CompileResult Compiler::runPipeline(std::shared_ptr<const FamilyPlan> familyIn,
     state.familyOut = std::make_shared<FamilyPlan>();
   // Keep Compiler reusable by copying the source — except for one-shot
   // async snapshots, which own their source exclusively and may donate it.
-  state.input = consumeSource_ ? std::make_unique<ProgramBlock>(std::move(*source_))
-                               : std::make_unique<ProgramBlock>(*source_);
+  state.input = consumeSource_ ? std::make_shared<const ProgramBlock>(std::move(*source_))
+                               : std::make_shared<const ProgramBlock>(*source_);
   if (consumeSource_) source_.reset();
   std::vector<PassTiming> timings;
 

@@ -46,13 +46,12 @@ struct PassTiming {
 
 /// Everything a compilation produced: the pipeline products (block, plan,
 /// search outcome, kernel/unit, artifact — see PipelineProducts) plus the
-/// verdict, ordered diagnostics, and per-pass timings. Move-only: program
-/// blocks live behind unique_ptr so internal back-pointers
-/// (CodeUnit::source, DataPlan::block) stay valid when the result moves.
+/// verdict, ordered diagnostics, and per-pass timings. Copyable: a copy
+/// shares the immutable blocks and ASTs of the products.
 struct CompileResult : PipelineProducts {
   bool ok = false;  ///< pipeline completed without error diagnostics
   /// True when this result came from the PlanCache instead of a pipeline
-  /// run. The products are a deep copy of the cached plan; `timings`
+  /// run. The products are shared with the cached plan; `timings`
   /// describe the run that originally produced it.
   bool cacheHit = false;
   /// True when this result was deserialized from the on-disk plan cache
@@ -65,15 +64,15 @@ struct CompileResult : PipelineProducts {
   /// and/or the symbolic tile-plan build were served from a kernel-family
   /// plan compiled once for the whole `--size` sweep, leaving only the
   /// cheap per-size bind-and-emit stages. Like cacheHit/diskHit this is a
-  /// transport flag: cache replays of a family-instantiated plan report
-  /// their own tier instead.
+  /// transport flag naming the tier that served THIS request: a memory
+  /// replay of a family-instantiated plan reports cacheHit instead.
   bool familyHit = false;
-  /// True when this result was BOUND from the family's size-generic record
-  /// (RuntimeBinder): no pipeline run and no emission happened — the
-  /// artifact text is the record's, verbatim, and `boundArgs` carries the
-  /// runtime kernel-argument values for the requested size. Implies
-  /// familyHit. Transport-only: never serialized, cache replays re-derive
-  /// their own tier flags.
+  /// True when the artifact is the family's size-generic record text,
+  /// verbatim, BOUND to this size by RuntimeBinder: `boundArgs` carries the
+  /// runtime kernel-argument values it needs. It describes the artifact,
+  /// not the serving tier, so a memory replay of a bound result keeps it
+  /// and `boundArgs` (with cacheHit set and familyHit cleared); the bind
+  /// itself sets it together with familyHit. Never serialized.
   bool artifactBound = false;
   /// Runtime kernel arguments filled by the binder, in signature order
   /// (empty unless artifactBound).
@@ -85,9 +84,6 @@ struct CompileResult : PipelineProducts {
   std::string firstError() const;
   /// Timing entry for a pass, or nullptr.
   const PassTiming* timing(const std::string& pass) const;
-
-  /// Deep copy (results are otherwise move-only); used by the plan cache.
-  CompileResult clone() const;
 };
 
 /// Builder-style façade over the pass pipeline. Reusable: compile() may be

@@ -8,70 +8,6 @@
 
 namespace emm {
 
-namespace {
-
-/// Deep copy of a CodeUnit with its source pointer rebound.
-CodeUnit cloneUnit(const CodeUnit& u, const ProgramBlock* source) {
-  CodeUnit out;
-  out.name = u.name;
-  out.source = source;
-  out.statements = u.statements;
-  out.localBuffers = u.localBuffers;
-  out.root = u.root ? u.root->clone() : nullptr;
-  return out;
-}
-
-}  // namespace
-
-// Field-by-field copy of PipelineProducts, TiledKernel, TileAnalysis and
-// (via cloneUnit) CodeUnit; the CloneParity tests fail when it misses one.
-PipelineProducts PipelineProducts::clone() const {
-  PipelineProducts out;
-  if (input) out.input = std::make_unique<ProgramBlock>(*input);
-  if (transformed) out.transformed = std::make_unique<ProgramBlock>(*transformed);
-  // Rebinds a pointer into this object's blocks to the copy's blocks.
-  auto remapBlock = [&](const ProgramBlock* p) -> const ProgramBlock* {
-    if (p == input.get()) return out.input.get();
-    if (p == transformed.get()) return out.transformed.get();
-    return nullptr;
-  };
-  out.deps = deps;
-  out.haveDeps = haveDeps;
-  out.plan = plan;
-  out.havePlan = havePlan;
-  out.appliedSkews = appliedSkews;
-  out.search = search;
-  out.geometryHints = geometryHints;
-  if (kernel) {
-    TiledKernel k;
-    k.analysis.depth = kernel->analysis.depth;
-    k.analysis.subTile = kernel->analysis.subTile;
-    k.analysis.originParams = kernel->analysis.originParams;
-    k.analysis.tileParams = kernel->analysis.tileParams;
-    k.analysis.loopBounds = kernel->analysis.loopBounds;
-    k.analysis.hoistLevel = kernel->analysis.hoistLevel;
-    if (kernel->analysis.tileBlock)
-      k.analysis.tileBlock = std::make_unique<ProgramBlock>(*kernel->analysis.tileBlock);
-    k.analysis.plan = kernel->analysis.plan;
-    k.analysis.plan.block = k.analysis.tileBlock.get();
-    k.unit = cloneUnit(kernel->unit, k.analysis.tileBlock.get());
-    k.spaceLoops = kernel->spaceLoops;
-    k.blockTileSizes = kernel->blockTileSizes;
-    k.spaceLoopRange = kernel->spaceLoopRange;
-    out.kernel.emplace(std::move(k));
-  }
-  if (scratchpadUnit)
-    out.scratchpadUnit.emplace(cloneUnit(*scratchpadUnit, remapBlock(scratchpadUnit->source)));
-  if (blockPlan) {
-    out.blockPlan = blockPlan;
-    out.blockPlan->block = remapBlock(blockPlan->block);
-  }
-  out.bufferLayout = bufferLayout;  // SymExpr nodes are immutable and shared
-  out.artifactInfo = artifactInfo;  // likewise: guards/slots share SymExpr nodes
-  out.artifact = artifact;
-  return out;
-}
-
 void CompileState::note(const std::string& stage, const std::string& message) {
   diagnostics.push_back({Severity::Note, stage, message});
 }
@@ -154,7 +90,7 @@ public:
       // table swapped in — the skew search is skipped entirely.
       ProgramBlock t = s.familyIn->transformedTemplate;
       t.arrays = s.input->arrays;
-      s.transformed = std::make_unique<ProgramBlock>(std::move(t));
+      s.transformed = std::make_shared<const ProgramBlock>(std::move(t));
       s.plan = s.familyIn->plan;
       s.havePlan = true;
       s.appliedSkews = s.familyIn->appliedSkews;
@@ -162,7 +98,7 @@ public:
       s.note(name(), "transformation adopted from the family tier");
     } else {
       TransformResult tr = makeTilable(*s.input);
-      s.transformed = std::make_unique<ProgramBlock>(std::move(tr.block));
+      s.transformed = std::make_shared<const ProgramBlock>(std::move(tr.block));
       s.plan = std::move(tr.plan);
       s.havePlan = true;
       s.appliedSkews = std::move(tr.appliedSkews);

@@ -25,17 +25,22 @@ namespace emm {
 /// Everything the pipeline produces. The working CompileState and the final
 /// CompileResult both embed this struct; Compiler::compile() moves it
 /// wholesale, so a field added here flows to results automatically. Its
-/// persisted form is its field list in support/serialize.cpp; clone() below
-/// copies field by field (the unique_ptr-held blocks make the struct
-/// non-copyable), and the CloneParity tests fail when it misses one.
-/// Program blocks live behind unique_ptr so CodeUnit/DataPlan back-pointers
-/// into them survive those moves.
+/// persisted form is its field list in support/serialize.cpp.
+///
+/// The products are immutable once their pass finishes: program blocks and
+/// the unit ASTs are held by shared_ptr<const T>, so the defaulted copy
+/// shares them and a cache hit or a bind costs a handful of reference
+/// counts. The CodeUnit::source and DataPlan::block back-pointers point
+/// into those shared blocks, which never move or change, so they stay
+/// valid through a copy. Nothing writes through a shared block; a caller
+/// that needs different contents (the runtime binder's array extents, an
+/// AST rewrite) builds a new block or tree and re-points its own copy.
 struct PipelineProducts {
   /// The block as given to the Compiler.
-  std::unique_ptr<ProgramBlock> input;
+  std::shared_ptr<const ProgramBlock> input;
   /// After the transform pass: possibly shifted/skewed. block() returns
   /// this when present, else the input.
-  std::unique_ptr<ProgramBlock> transformed;
+  std::shared_ptr<const ProgramBlock> transformed;
 
   std::vector<Dependence> deps;
   bool haveDeps = false;
@@ -92,11 +97,6 @@ struct PipelineProducts {
     if (blockPlan) return &*blockPlan;
     return nullptr;
   }
-
-  /// Deep copy with internal back-pointers (CodeUnit::source, DataPlan::block)
-  /// rebound to the copied blocks. This is how the plan cache stores one
-  /// snapshot per key and hands out independently owned results.
-  PipelineProducts clone() const;
 };
 
 /// Mutable state threaded through the pipeline: the accumulated products

@@ -60,26 +60,12 @@ PlanCache::PlanCache(size_t capacity, size_t shards) {
   }
 }
 
-size_t PlanCache::shardOf(const PlanKey& key) const {
-  const u64 h = mix64(hashCombine(key.block, hashCombine(key.options, key.passes)));
-  return static_cast<size_t>(h & (shardCount_ - 1));
+size_t PlanCache::shardIndex(u64 keyHash) const {
+  return static_cast<size_t>(mix64(keyHash) & (shardCount_ - 1));
 }
 
-size_t PlanCache::shardOfFamily(const FamilyKey& key) const {
-  const u64 h = mix64(hashCombine(key.block, hashCombine(key.options, key.passes)));
-  return static_cast<size_t>(h & (shardCount_ - 1));
-}
-
-PlanCache::Shard& PlanCache::shardFor(const PlanKey& key) const { return shards_[shardOf(key)]; }
-
-PlanCache::Shard& PlanCache::shardForFamily(const FamilyKey& key) const {
-  return shards_[shardOfFamily(key)];
-}
-
-CompileResult PlanCache::cloneHit(const CompileResult& entry) {
-  // Clone outside any lock: deep copies are cheap next to a compile but not
-  // free, and pool workers hit the cache concurrently.
-  CompileResult out = entry.clone();
+CompileResult PlanCache::replayHit(const CompileResult& entry) {
+  CompileResult out = entry;
   out.cacheHit = true;
   out.diskHit = false;    // a memory replay, even of a disk-loaded plan
   out.familyHit = false;  // the replay itself did not instantiate a family
@@ -110,7 +96,7 @@ std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {
     touchLockFree(shard, key);
   }
   shard.hits.fetch_add(1, std::memory_order_relaxed);
-  return cloneHit(*entry);
+  return replayHit(*entry);
 }
 
 void PlanCache::touchLocked(Shard& shard, const PlanKey& key) {
@@ -136,7 +122,7 @@ void PlanCache::touchFamilyLockFree(Shard& shard, const FamilyKey& key) {
 }
 
 void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
-  auto snapshot = std::make_shared<const CompileResult>(result.clone());
+  auto snapshot = std::make_shared<const CompileResult>(result);
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   insertLocked(shard, key, std::move(snapshot));
@@ -186,7 +172,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     if (it != snap->end()) {
       shard.hits.fetch_add(1, std::memory_order_relaxed);
       touchLockFree(shard, key);
-      return cloneHit(*it->second);
+      return replayHit(*it->second);
     }
   }
   std::shared_ptr<InFlight> flight;
@@ -199,7 +185,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
         touchLocked(shard, key);
         std::shared_ptr<const CompileResult> entry = it->second;
         lock.unlock();
-        return cloneHit(*entry);
+        return replayHit(*entry);
       }
       auto fit = shard.inflight.find(key);
       if (fit == shard.inflight.end()) break;  // no leader: become one
@@ -209,7 +195,7 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
         shard.hits.fetch_add(1, std::memory_order_relaxed);
         std::shared_ptr<const CompileResult> entry = waitFor->result;
         lock.unlock();
-        return cloneHit(*entry);
+        return replayHit(*entry);
       }
       // The leader failed; loop to retry (and maybe become the next leader).
     }
@@ -225,14 +211,14 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     throw;
   }
   std::shared_ptr<const CompileResult> snapshot;
-  if (result.ok) snapshot = std::make_shared<const CompileResult>(result.clone());
+  if (result.ok) snapshot = std::make_shared<const CompileResult>(result);
   finishFlight(shard, key, flight, std::move(snapshot));
   return result;
 }
 
 std::shared_ptr<const FamilyPlan> PlanCache::lookupFamily(const FamilyKey& key,
                                                           u64 collisionDigest) {
-  Shard& shard = shardForFamily(key);
+  Shard& shard = shardFor(key);
   {
     std::shared_ptr<const FamilyMap> snap =
         shard.familySnapshot.load(std::memory_order_acquire);
@@ -268,7 +254,7 @@ std::shared_ptr<const FamilyPlan> PlanCache::lookupFamily(const FamilyKey& key,
 void PlanCache::insertFamily(const FamilyKey& key, u64 collisionDigest,
                              std::shared_ptr<const FamilyPlan> plan) {
   if (plan == nullptr) return;
-  Shard& shard = shardForFamily(key);
+  Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   auto [it, inserted] = shard.families.emplace(key, FamilyEntry{collisionDigest, std::move(plan)});
   if (!inserted) return;  // first writer wins; families are built once

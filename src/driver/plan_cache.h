@@ -4,8 +4,9 @@
 // blocks constantly (the same ME/matmul shapes with the same options). A
 // PlanCache keys a finished CompileResult on the structural fingerprint of
 // the source block plus the canonical hash of the option set (plus the
-// skipped-pass set), and hands out deep, independently owned copies, so a
-// warm compile costs one clone instead of the full pipeline.
+// skipped-pass set), and hands out copies that share the entry's immutable
+// blocks and ASTs, so a warm compile costs a few reference counts instead
+// of the full pipeline.
 //
 // What is cached: the complete, re-emittable plan products — the rendered
 // artifact, the tiled kernel / scratchpad unit IR, the data plan, the
@@ -66,6 +67,7 @@
 #pragma once
 
 #include <atomic>
+#include <concepts>
 #include <condition_variable>
 #include <functional>
 #include <list>
@@ -117,14 +119,17 @@ public:
 
   /// Number of shards actually in use (a power of two).
   size_t shardCount() const { return shardCount_; }
-  /// Index of the shard serving `key` / a family key — stable for a given
-  /// shard count. Exposed for shard-boundary tests and diagnostics.
-  size_t shardOf(const PlanKey& key) const;
-  size_t shardOfFamily(const FamilyKey& key) const;
+  /// Index of the shard serving a result key or a family key — stable for
+  /// a given shard count. Exposed for shard-boundary tests and diagnostics.
+  template <class Key>
+    requires std::same_as<Key, PlanKey> || std::same_as<Key, FamilyKey>
+  size_t shardOf(const Key& key) const {
+    return shardIndex(hashCombine(key.block, hashCombine(key.options, key.passes)));
+  }
 
-  /// Returns an independently owned copy of the cached result with
-  /// cacheHit set, or nullopt (counting a miss). Warm hits are served from
-  /// the shard's lock-free snapshot.
+  /// Returns a copy of the cached result (sharing its blocks and ASTs)
+  /// with the replay's tier flags, or nullopt (counting a miss). Warm hits
+  /// are served from the shard's lock-free snapshot.
   std::optional<CompileResult> lookup(const PlanKey& key);
 
   /// Stores a snapshot of `result` under `key`, overwriting any previous
@@ -215,10 +220,14 @@ private:
     std::atomic<i64> familyEvictions{0};
   };
 
-  Shard& shardFor(const PlanKey& key) const;
-  Shard& shardForFamily(const FamilyKey& key) const;
+  /// Shard index of a combined key hash.
+  size_t shardIndex(u64 keyHash) const;
+  template <class Key>
+  Shard& shardFor(const Key& key) const {
+    return shards_[shardOf(key)];
+  }
 
-  /// Inserts a pre-cloned snapshot and republishes; requires shard mutex.
+  /// Inserts a stored snapshot and republishes; requires shard mutex.
   void insertLocked(Shard& shard, const PlanKey& key,
                     std::shared_ptr<const CompileResult> snapshot);
   /// Splices `key` to the hot end of the shard's LRU list; requires shard
@@ -234,8 +243,11 @@ private:
   /// in-flight entry and wakes the shard's followers.
   void finishFlight(Shard& shard, const PlanKey& key, const std::shared_ptr<InFlight>& flight,
                     std::shared_ptr<const CompileResult> snapshot);
-  /// Clones `entry` into an independently owned hit result.
-  static CompileResult cloneHit(const CompileResult& entry);
+  /// A memory replay of `entry`: a copy that shares its products, with
+  /// cacheHit set and the serving-tier flags (diskHit, familyHit) cleared.
+  /// artifactBound and boundArgs describe the artifact and are kept. The
+  /// one place the replay's tier flags are decided.
+  static CompileResult replayHit(const CompileResult& entry);
 
   size_t shardCount_ = 1;
   std::unique_ptr<Shard[]> shards_;

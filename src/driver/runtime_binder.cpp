@@ -30,7 +30,7 @@ void attachFamilyRecord(FamilyPlan& family, const CompileResult& result,
     return;
   if (result.artifact.empty() || result.unit() == nullptr) return;
   family.recordOptions = options;
-  family.record = std::make_shared<CompileResult>(result.clone());
+  family.record = std::make_shared<const CompileResult>(result);
   family.haveRecord = true;
 }
 
@@ -151,10 +151,7 @@ std::optional<CompileResult> bindFamilyArtifact(const FamilyPlan& family,
     }
   }
 
-  // 4. Argument fill + product swap: the request's concrete array extents
-  // replace the record's everywhere a block rides along, so interpreters
-  // and stride consumers see this member's geometry.
-  CompileResult out = rec.clone();
+  // 4. Argument fill.
   std::vector<std::pair<std::string, i64>> args;
   for (const BindSlot& s : info.slots) {
     i64 v = 0;
@@ -184,12 +181,35 @@ std::optional<CompileResult> bindFamilyArtifact(const FamilyPlan& family,
     }
     args.emplace_back(s.name, v);
   }
+  // 5. Product swap: the copy shares the record's blocks and AST; only the
+  // blocks whose array table changes are copied, given the request's
+  // extents, and every back-pointer into a replaced block is re-pointed at
+  // its copy, so interpreters and stride consumers see this member's
+  // geometry while the record stays untouched.
+  CompileResult out = rec;
+  std::vector<std::pair<const ProgramBlock*, const ProgramBlock*>> moved;
+  auto withRequestArrays = [&](std::shared_ptr<const ProgramBlock>& block) {
+    if (block == nullptr || block->arrays == request.arrays) return;
+    auto copy = std::make_shared<ProgramBlock>(*block);
+    copy->arrays = request.arrays;
+    moved.emplace_back(block.get(), copy.get());
+    block = std::move(copy);
+  };
+  auto repoint = [&](const ProgramBlock*& back) {
+    for (const auto& [from, to] : moved)
+      if (back == from) back = to;
+  };
+  withRequestArrays(out.input);
+  withRequestArrays(out.transformed);
+  if (out.kernel.has_value()) {
+    std::shared_ptr<const ProgramBlock>& tile = out.kernel->analysis.tileBlock;
+    if (tile != nullptr && sameArrayShape(tile->arrays, request.arrays)) withRequestArrays(tile);
+    repoint(out.kernel->unit.source);
+    repoint(out.kernel->analysis.plan.block);
+  }
+  if (out.scratchpadUnit.has_value()) repoint(out.scratchpadUnit->source);
+  if (out.blockPlan.has_value()) repoint(out.blockPlan->block);
   if (hasTileChoice) out.search = std::move(search);
-  if (out.input != nullptr) out.input->arrays = request.arrays;
-  if (out.transformed != nullptr) out.transformed->arrays = request.arrays;
-  if (out.kernel.has_value() && out.kernel->analysis.tileBlock != nullptr &&
-      sameArrayShape(out.kernel->analysis.tileBlock->arrays, request.arrays))
-    out.kernel->analysis.tileBlock->arrays = request.arrays;
 
   out.ok = true;
   out.cacheHit = false;

@@ -115,8 +115,8 @@ struct AstNode {
 
   AstNode* addChild(AstPtr child);
 
-  /// Deep copy of the subtree (used by the plan cache to hand out
-  /// independently owned results).
+  /// Deep copy of the subtree. A finished unit's AST is shared and
+  /// immutable; a rewrite clones it, edits the copy and stores that.
   AstPtr clone() const;
 };
 
@@ -150,12 +150,17 @@ struct LocalBuffer {
 /// rewritten to target local buffers) and the local buffers themselves.
 /// Array ids < numGlobalArrays refer to the source block's arrays; ids >=
 /// that refer to localBuffers[id - numGlobalArrays].
+///
+/// The AST is built as a local AstPtr and frozen when assigned to `root`;
+/// copies of the unit share it. `source` is a non-owning back-pointer into
+/// an immutable block the unit's owner co-owns, so it stays valid through
+/// a copy.
 struct CodeUnit {
   std::string name;
   const ProgramBlock* source = nullptr;
   std::vector<Statement> statements;  ///< bodies for Call nodes (by stmtId)
   std::vector<LocalBuffer> localBuffers;
-  AstPtr root;
+  std::shared_ptr<const AstNode> root;
 
   int numGlobalArrays() const {
     return source == nullptr ? 0 : static_cast<int>(source->arrays.size());

@@ -22,6 +22,7 @@ struct ArrayDecl {
   std::string name;
   std::vector<i64> extents;  ///< one per dimension
 
+  bool operator==(const ArrayDecl&) const = default;
   int ndim() const { return static_cast<int>(extents.size()); }
   i64 elementCount() const {
     i64 n = 1;

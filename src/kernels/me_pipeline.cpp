@@ -31,7 +31,7 @@ MePipeline buildMePipeline(const MeConfig& config) {
   EMM_REQUIRE(r.ok, "ME pipeline failed: " + r.firstError());
   EMM_REQUIRE(r.plan.spaceLoops.size() == 2, "ME should expose two space loops");
   EMM_REQUIRE(r.kernel.has_value(), "ME pipeline produced no tiled kernel");
-  p.transform.block = std::move(*r.transformed);
+  p.transform.block = *r.transformed;  // the result's blocks are shared and immutable
   p.transform.plan = std::move(r.plan);
   p.transform.appliedSkews = std::move(r.appliedSkews);
   p.kernel = std::move(*r.kernel);

@@ -598,19 +598,20 @@ CodeUnit buildScratchpadUnit(const ProgramBlock& block, const SmemOptions& optio
         rewriteStatement(block.statements[s], static_cast<int>(s), planOut, block, numGlobals));
 
   // move-in; compute; move-out.
-  unit.root = AstNode::block();
+  AstPtr root = AstNode::block();
   for (size_t p = 0; p < planOut.partitions.size(); ++p) {
     if (!planOut.partitions[p].hasBuffer) continue;
-    unit.root->addChild(AstNode::comment("move-in " + planOut.partitions[p].bufferName));
-    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), true));
+    root->addChild(AstNode::comment("move-in " + planOut.partitions[p].bufferName));
+    root->addChild(buildCopyCode(planOut, static_cast<int>(p), true));
   }
-  unit.root->addChild(AstNode::comment("computation"));
-  unit.root->addChild(generateFromSchedules(block));
+  root->addChild(AstNode::comment("computation"));
+  root->addChild(generateFromSchedules(block));
   for (size_t p = 0; p < planOut.partitions.size(); ++p) {
     if (!planOut.partitions[p].hasBuffer) continue;
-    unit.root->addChild(AstNode::comment("move-out " + planOut.partitions[p].bufferName));
-    unit.root->addChild(buildCopyCode(planOut, static_cast<int>(p), false));
+    root->addChild(AstNode::comment("move-out " + planOut.partitions[p].bufferName));
+    root->addChild(buildCopyCode(planOut, static_cast<int>(p), false));
   }
+  unit.root = std::move(root);
   return unit;
 }
 

@@ -302,8 +302,8 @@ SymPtr Codec<SymPtr>::decode(ByteReader& r, int depth) {
 
 // ---- Back-references and post-decode checks ------------------------------
 // CodeUnit::source and DataPlan::block point into a block their owner holds;
-// they are not fields. Each owner rebinds them to the decoded block, as
-// PipelineProducts::clone() rebinds its copies.
+// they are not fields. Each owner rebinds them to its decoded block, which
+// it then shares with every copy.
 
 void rebindPlanBlock(TileAnalysis& a) {
   a.plan.block = a.tileBlock.get();
@@ -320,7 +320,7 @@ unsigned char blockRefOf(const PipelineProducts& p, const ProgramBlock* ptr) {
   if (ptr == nullptr) return kRefNone;
   if (ptr == p.input.get()) return kRefInput;
   if (ptr == p.transformed.get()) return kRefTransformed;
-  return kRefNone;  // foreign pointer: not representable, drop like clone()
+  return kRefNone;  // foreign pointer: not representable, dropped
 }
 
 const ProgramBlock* resolveBlockRef(const PipelineProducts& p, unsigned char ref) {

@@ -30,7 +30,7 @@
 // reproduces r field by field — same emitted artifact bytes, same costs and
 // tile choices, same diagnostics and timings — with the internal
 // back-pointers (CodeUnit::source, DataPlan::block) rebound to the
-// deserialized blocks, exactly as PipelineProducts::clone() rebinds them.
+// deserialized blocks, the same blocks a copy of r would share.
 #pragma once
 
 #include <memory>

@@ -43,7 +43,11 @@ bool corruptFirstCopyLoop(AstNode& node) {
 void PlantedTilerBugPass::run(CompileState& state) {
   PassRegistry::standard().create("codegen")->run(state);
   corrupted_ = false;
-  if (state.kernel.has_value()) corrupted_ = corruptFirstCopyLoop(*state.kernel->unit.root);
+  if (!state.kernel.has_value() || state.kernel->unit.root == nullptr) return;
+  // The unit's AST is shared and immutable: corrupt a copy and store that.
+  AstPtr root = state.kernel->unit.root->clone();
+  corrupted_ = corruptFirstCopyLoop(*root);
+  state.kernel->unit.root = std::move(root);
 }
 
 void plantTilerBug(Compiler& compiler) {

@@ -99,8 +99,7 @@ TileAnalysis analyzeTileImpl(const ProgramBlock& block, const std::vector<i64>& 
 
   // ---- Extended block: tile origins (and, in symbolic mode, tile sizes)
   // become parameters. ----
-  ta.tileBlock = std::make_unique<ProgramBlock>(block);
-  ProgramBlock& ext = *ta.tileBlock;
+  ProgramBlock ext = block;
   ext.name = block.name + "_tile";
   int oldNp = block.nparam();
   for (int l = 0; l < depth; ++l) {
@@ -190,8 +189,10 @@ TileAnalysis analyzeTileImpl(const ProgramBlock& block, const std::vector<i64>& 
       opts.sampleParams.insert(opts.sampleParams.end(), tileValues.begin(), tileValues.end());
   }
 
-  if (useScratchpad) ta.plan = analyzeBlock(ext, opts);
-  ta.plan.block = &ext;
+  // The extended block is complete: freeze it before the plan points in.
+  ta.tileBlock = std::make_shared<const ProgramBlock>(std::move(ext));
+  if (useScratchpad) ta.plan = analyzeBlock(*ta.tileBlock, opts);
+  ta.plan.block = ta.tileBlock.get();
 
   // ---- Hoist levels (Section 4.2). ----
   ta.hoistLevel.assign(ta.plan.partitions.size(), depth);
@@ -290,8 +291,8 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
   TiledKernel result;
   result.analysis = analyzeTile(block, plan, config.subTile, smemBase, config.hoistCopies,
                                 config.useScratchpad);
-  TileAnalysis& ta = result.analysis;
-  ProgramBlock& ext = *ta.tileBlock;
+  const TileAnalysis& ta = result.analysis;
+  const ProgramBlock& ext = *ta.tileBlock;
   int depth = ta.depth;
   int oldNp = block.nparam();
   result.spaceLoops = plan.spaceLoops;
@@ -356,8 +357,8 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
     return static_cast<int>(it - plan.spaceLoops.begin());
   };
 
-  unit.root = AstNode::block();
-  AstNode* cursor = unit.root.get();
+  AstPtr root = AstNode::block();
+  AstNode* cursor = root.get();
 
   // Block-tile loops (outer level; FORALL across thread blocks).
   for (int l : plan.spaceLoops) {
@@ -463,6 +464,7 @@ TiledKernel buildTiledKernel(const ProgramBlock& block, const ParallelismPlan& p
     }
 
   for (int l : plan.spaceLoops) result.spaceLoopRange.emplace_back(loopLb(l), loopUb(l));
+  unit.root = std::move(root);
   result.unit = std::move(unit);
   return result;
 }

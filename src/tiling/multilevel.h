@@ -33,9 +33,11 @@ namespace emm {
 
 /// Tile-level analysis shared by code generation and the tile-size search:
 /// the sub-tile program block (origins as parameters), its scratchpad plan,
-/// and the hoisted placement level of every buffer's copy code.
+/// and the hoisted placement level of every buffer's copy code. The tile
+/// block is immutable once built and shared by copies; plan.block points
+/// into it.
 struct TileAnalysis {
-  std::unique_ptr<ProgramBlock> tileBlock;
+  std::shared_ptr<const ProgramBlock> tileBlock;
   DataPlan plan;                          ///< empty partitions when scratchpad off
   std::vector<std::string> originParams;  ///< one per common loop
   /// Symbolic tile-size parameter names (one per common loop) when the
@@ -92,7 +94,7 @@ struct TileConfig {
 
 /// A fully mapped kernel: executable CodeUnit plus the analysis artifacts.
 struct TiledKernel {
-  TileAnalysis analysis;  ///< owns the tile block; unit.source points at it
+  TileAnalysis analysis;  ///< co-owns the tile block; unit.source points at it
   CodeUnit unit;
   std::vector<int> spaceLoops;
   std::vector<i64> blockTileSizes;  ///< per space loop

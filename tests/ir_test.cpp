@@ -156,11 +156,12 @@ TEST(Interp, ForLoopWithCopies) {
   block.arrays = {{"A", {8}}, {"B", {8}}};
   CodeUnit unit;
   unit.source = &block;
-  unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstPtr root = AstNode::block();
+  AstNode* loop = root->addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(7), false)));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
+  unit.root = std::move(root);
 
   ArrayStore store(block.arrays);
   store.fillPattern(0, 1);
@@ -186,15 +187,16 @@ TEST(Interp, LocalBufferRoundTrip) {
   buf.sizeExpr = {BoundExpr::single(AffExpr::constant(4), false)};
   unit.localBuffers.push_back(buf);
 
-  unit.root = AstNode::block();
-  AstNode* in = unit.root->addChild(AstNode::forLoop(
+  AstPtr root = AstNode::block();
+  AstNode* in = root->addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(2), true),
       BoundExpr::single(AffExpr::constant(5), false)));
   in->addChild(AstNode::copy(2, {AffExpr::var("i").plus(-2)}, 0, {AffExpr::var("i")}));
-  AstNode* out = unit.root->addChild(AstNode::forLoop(
+  AstNode* out = root->addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(2), true),
       BoundExpr::single(AffExpr::constant(5), false)));
   out->addChild(AstNode::copy(1, {AffExpr::var("i")}, 2, {AffExpr::var("i").plus(-2)}));
+  unit.root = std::move(root);
 
   ArrayStore store(block.arrays);
   store.fillPattern(0, 9);
@@ -213,13 +215,14 @@ TEST(Interp, GuardSkipsBody) {
   block.arrays = {{"A", {4}}, {"B", {4}}};
   CodeUnit unit;
   unit.source = &block;
-  unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstPtr root = AstNode::block();
+  AstNode* loop = root->addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(3), false)));
   // Guard i - 2 >= 0: only i in {2, 3} copy.
   AstNode* g = loop->addChild(AstNode::guard({AffExpr::var("i").plus(-2)}));
   g->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
+  unit.root = std::move(root);
   ArrayStore store(block.arrays);
   MemTrace trace = executeCodeUnit(unit, {}, store);
   EXPECT_EQ(trace.copyElements, 2);
@@ -230,11 +233,12 @@ TEST(Interp, SyncCounting) {
   block.name = "s";
   CodeUnit unit;
   unit.source = &block;
-  unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstPtr root = AstNode::block();
+  AstNode* loop = root->addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(4), false)));
   loop->addChild(AstNode::sync());
+  unit.root = std::move(root);
   ArrayStore store(block.arrays);
   EXPECT_EQ(executeCodeUnit(unit, {}, store).syncs, 5);
 }
@@ -245,11 +249,12 @@ TEST(Interp, StepLoop) {
   block.arrays = {{"A", {16}}, {"B", {16}}};
   CodeUnit unit;
   unit.source = &block;
-  unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(
+  AstPtr root = AstNode::block();
+  AstNode* loop = root->addChild(
       AstNode::forLoop("i", BoundExpr::single(AffExpr::constant(0), true),
                        BoundExpr::single(AffExpr::constant(15), false), 4));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
+  unit.root = std::move(root);
   ArrayStore store(block.arrays);
   EXPECT_EQ(executeCodeUnit(unit, {}, store).copyElements, 4);  // i = 0,4,8,12
 }
@@ -260,11 +265,12 @@ TEST(Emit, RendersLoopAndCopy) {
   block.arrays = {{"A", {8}}, {"B", {8}}};
   CodeUnit unit;
   unit.source = &block;
-  unit.root = AstNode::block();
-  AstNode* loop = unit.root->addChild(AstNode::forLoop(
+  AstPtr root = AstNode::block();
+  AstNode* loop = root->addChild(AstNode::forLoop(
       "i", BoundExpr::single(AffExpr::constant(0), true),
       BoundExpr::single(AffExpr::constant(7), false)));
   loop->addChild(AstNode::copy(1, {AffExpr::var("i")}, 0, {AffExpr::var("i")}));
+  unit.root = std::move(root);
   std::string code = emitC(unit);
   EXPECT_NE(code.find("for (i = 0; i <= 7; i++)"), std::string::npos) << code;
   EXPECT_NE(code.find("B[i] = A[i];"), std::string::npos) << code;
@@ -275,8 +281,9 @@ TEST(Emit, RendersCallWithComposedIndices) {
   CodeUnit unit;
   unit.source = &block;
   unit.statements = block.statements;
-  unit.root = AstNode::block();
-  unit.root->addChild(AstNode::call(0, {AffExpr::var("t"), AffExpr::var("i")}));
+  AstPtr root = AstNode::block();
+  root->addChild(AstNode::call(0, {AffExpr::var("t"), AffExpr::var("i")}));
+  unit.root = std::move(root);
   std::string code = emitC(unit);
   EXPECT_NE(code.find("B[i] ="), std::string::npos) << code;
   EXPECT_NE(code.find("A[i - 1]"), std::string::npos) << code;

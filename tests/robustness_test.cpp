@@ -162,8 +162,9 @@ TEST(Errors, InterpreterCatchesUnboundVariable) {
   block.arrays = {{"A", {4}}, {"B", {4}}};
   CodeUnit unit;
   unit.source = &block;
-  unit.root = AstNode::block();
-  unit.root->addChild(AstNode::copy(1, {AffExpr::var("nowhere")}, 0, {AffExpr::constant(0)}));
+  AstPtr root = AstNode::block();
+  root->addChild(AstNode::copy(1, {AffExpr::var("nowhere")}, 0, {AffExpr::constant(0)}));
+  unit.root = std::move(root);
   ArrayStore store(block.arrays);
   EXPECT_DEATH(executeCodeUnit(unit, {}, store), "unbound variable");
 }

@@ -193,12 +193,12 @@ TEST(PlanRoundTrip, CudaAndCellArtifactsSurvive) {
 
 // ---- Clone parity. ----
 
-/// clone() is the one field-by-field copy the field lists do not generate.
-/// The serializer walks every persisted field, so a clone that drops or
-/// alters one shows up as a byte difference; its back-pointers must land on
-/// the clone's own blocks, never on the original's.
+/// A result is copied by its defaulted copy constructor, which shares the
+/// immutable blocks and ASTs. The serializer walks every persisted field,
+/// so a copy that drops or alters one shows up as a byte difference; its
+/// back-pointers must land on blocks the copy itself holds.
 void expectCloneParity(const CompileResult& r) {
-  const CompileResult copy = r.clone();
+  const CompileResult copy = r;
   EXPECT_EQ(serializeCompileResult(copy), serializeCompileResult(r));
   const std::vector<const ProgramBlock*> own = {
       copy.input.get(), copy.transformed.get(),

@@ -1,6 +1,6 @@
 // Tests for the compilation-service layer: structural fingerprints, the
-// plan cache (hit/miss accounting, byte-identical warm artifacts, clone
-// integrity), the thread pool, async/batch compilation, and the memoized
+// plan cache (hit/miss accounting, byte-identical warm artifacts, usable
+// warm copies), the thread pool, async/batch compilation, and the memoized
 // tile evaluator.
 #include <gtest/gtest.h>
 
@@ -329,11 +329,11 @@ TEST(PlanCacheTest, WarmResultIsSemanticallyUsable) {
   CompileResult cold = compiler.compile();
   CompileResult warm = compiler.compile();
   ASSERT_TRUE(warm.cacheHit);
-  ASSERT_TRUE(warm.kernel.has_value());  // the clone carries the full plan
+  ASSERT_TRUE(warm.kernel.has_value());  // the warm copy carries the full plan
   ASSERT_NE(warm.unit(), nullptr);
   ASSERT_NE(warm.dataPlan(), nullptr);
 
-  // Executing the cloned unit produces the same memory state and trace as
+  // Executing the warm unit produces the same memory state and trace as
   // the cold one.
   ArrayStore a(cold.block().arrays), b(warm.block().arrays);
   a.fillAllPattern(3);
