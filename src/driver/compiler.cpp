@@ -315,6 +315,11 @@ std::optional<CompileResult> Compiler::tryBindFamily(const ProgramBlock& block) 
   return bindFamilyArtifact(*family, block, opts, nullptr);
 }
 
+std::shared_ptr<const std::string> Compiler::lookupEncodedHit(const ProgramBlock& block) {
+  if (cache_ == nullptr || !replacements_.empty()) return nullptr;
+  return cache_->lookupEncoded(planKeyFor(block, effectiveOptions(), skipped_));
+}
+
 CompileResult Compiler::runPipeline(std::shared_ptr<const FamilyPlan> familyIn,
                                     std::shared_ptr<FamilyPlan>* familyOut) {
   const PassRegistry& registry = PassRegistry::standard();

@@ -210,6 +210,14 @@ public:
   /// run on a connection thread ahead of the compile pool.
   std::optional<CompileResult> tryBindFamily(const ProgramBlock& block);
 
+  /// Exact-key fast path for services: the serializeCompileResult bytes of
+  /// the result compile() would replay from the ATTACHED MEMORY cache for
+  /// `block` (same key), encoded once per cache entry and shared, or
+  /// nullptr. A hit counts as a memory hit; a miss counts nothing, so the
+  /// compile() that follows counts it once. Replaced passes bypass the
+  /// cache here as in compile().
+  std::shared_ptr<const std::string> lookupEncodedHit(const ProgramBlock& block);
+
 private:
   CompileOptions effectiveOptions() const;
   CompileResult runPipeline(std::shared_ptr<const FamilyPlan> familyIn = nullptr,

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "support/diagnostics.h"
+#include "support/serialize.h"
 
 namespace emm {
 
@@ -72,31 +73,50 @@ CompileResult PlanCache::replayHit(const CompileResult& entry) {
   return out;
 }
 
-std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {
-  Shard& shard = shardFor(key);
-  std::shared_ptr<const CompileResult> entry;
+std::shared_ptr<const std::string> PlanCache::ResultEntry::encoded() const {
+  std::call_once(encodeOnce_, [this] {
+    std::string bytes = serializeCompileResult(result);
+    bytes.shrink_to_fit();  // kept for the entry's lifetime
+    encoded_ = std::make_shared<const std::string>(std::move(bytes));
+  });
+  return encoded_;
+}
+
+std::shared_ptr<const PlanCache::ResultEntry> PlanCache::findHit(Shard& shard,
+                                                                 const PlanKey& key) {
+  std::shared_ptr<const ResultEntry> entry;
   {
     // Lock-free warm path: probe the published epoch. A hit touches no lock.
     std::shared_ptr<const ResultMap> snap = shard.snapshot.load(std::memory_order_acquire);
     auto it = snap->find(key);
     if (it != snap->end()) entry = it->second;
   }
-  if (entry == nullptr) {
+  if (entry != nullptr) {
+    touchLockFree(shard, key);
+  } else {
     // Snapshot miss: consult the authoritative map (the key may have been
     // inserted since the last epoch was published).
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.entries.find(key);
-    if (it == shard.entries.end()) {
-      shard.misses.fetch_add(1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
+    if (it == shard.entries.end()) return nullptr;
     entry = it->second;
     touchLocked(shard, key);
-  } else {
-    touchLockFree(shard, key);
   }
   shard.hits.fetch_add(1, std::memory_order_relaxed);
-  return replayHit(*entry);
+  return entry;
+}
+
+std::optional<CompileResult> PlanCache::lookup(const PlanKey& key) {
+  Shard& shard = shardFor(key);
+  if (std::shared_ptr<const ResultEntry> entry = findHit(shard, key))
+    return replayHit(entry->result);
+  shard.misses.fetch_add(1, std::memory_order_relaxed);
+  return std::nullopt;
+}
+
+std::shared_ptr<const std::string> PlanCache::lookupEncoded(const PlanKey& key) {
+  std::shared_ptr<const ResultEntry> entry = findHit(shardFor(key), key);
+  return entry != nullptr ? entry->encoded() : nullptr;
 }
 
 void PlanCache::touchLocked(Shard& shard, const PlanKey& key) {
@@ -122,15 +142,15 @@ void PlanCache::touchFamilyLockFree(Shard& shard, const FamilyKey& key) {
 }
 
 void PlanCache::insert(const PlanKey& key, const CompileResult& result) {
-  auto snapshot = std::make_shared<const CompileResult>(result);
+  auto entry = std::make_shared<const ResultEntry>(result);
   Shard& shard = shardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
-  insertLocked(shard, key, std::move(snapshot));
+  insertLocked(shard, key, std::move(entry));
 }
 
 void PlanCache::insertLocked(Shard& shard, const PlanKey& key,
-                             std::shared_ptr<const CompileResult> snapshot) {
-  auto [it, inserted] = shard.entries.emplace(key, snapshot);
+                             std::shared_ptr<const ResultEntry> entry) {
+  auto [it, inserted] = shard.entries.emplace(key, entry);
   if (inserted) {
     shard.lruPos[key] = shard.lruOrder.insert(shard.lruOrder.end(), key);
     if (shard.entries.size() > shard.capacity) {
@@ -141,7 +161,7 @@ void PlanCache::insertLocked(Shard& shard, const PlanKey& key,
       shard.evictions.fetch_add(1, std::memory_order_relaxed);
     }
   } else {
-    it->second = std::move(snapshot);  // refresh in place
+    it->second = std::move(entry);  // refresh in place (with a fresh memo)
     touchLocked(shard, key);           // an overwrite counts as a use
   }
   // Publish the new epoch for the lock-free readers.
@@ -151,10 +171,10 @@ void PlanCache::insertLocked(Shard& shard, const PlanKey& key,
 
 void PlanCache::finishFlight(Shard& shard, const PlanKey& key,
                              const std::shared_ptr<InFlight>& flight,
-                             std::shared_ptr<const CompileResult> snapshot) {
+                             std::shared_ptr<const ResultEntry> entry) {
   std::lock_guard<std::mutex> lock(shard.mutex);
-  if (snapshot != nullptr) insertLocked(shard, key, snapshot);
-  flight->result = std::move(snapshot);
+  if (entry != nullptr) insertLocked(shard, key, entry);
+  flight->result = std::move(entry);
   flight->done = true;
   shard.inflight.erase(key);
   shard.flightDone.notify_all();
@@ -163,18 +183,10 @@ void PlanCache::finishFlight(Shard& shard, const PlanKey& key,
 CompileResult PlanCache::getOrCompute(const PlanKey& key,
                                       const std::function<CompileResult()>& compute) {
   Shard& shard = shardFor(key);
-  {
-    // Lock-free warm path, same as lookup(). In-flight keys are invisible
-    // to snapshots (they have no entry yet), so single-flight semantics are
-    // decided on the mutex path below.
-    std::shared_ptr<const ResultMap> snap = shard.snapshot.load(std::memory_order_acquire);
-    auto it = snap->find(key);
-    if (it != snap->end()) {
-      shard.hits.fetch_add(1, std::memory_order_relaxed);
-      touchLockFree(shard, key);
-      return replayHit(*it->second);
-    }
-  }
+  // Warm path, same as lookup(). In-flight keys have no entry yet, so
+  // single-flight semantics are decided on the mutex path below.
+  if (std::shared_ptr<const ResultEntry> entry = findHit(shard, key))
+    return replayHit(entry->result);
   std::shared_ptr<InFlight> flight;
   {
     std::unique_lock<std::mutex> lock(shard.mutex);
@@ -183,9 +195,9 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
       if (it != shard.entries.end()) {
         shard.hits.fetch_add(1, std::memory_order_relaxed);
         touchLocked(shard, key);
-        std::shared_ptr<const CompileResult> entry = it->second;
+        std::shared_ptr<const ResultEntry> entry = it->second;
         lock.unlock();
-        return replayHit(*entry);
+        return replayHit(entry->result);
       }
       auto fit = shard.inflight.find(key);
       if (fit == shard.inflight.end()) break;  // no leader: become one
@@ -193,9 +205,9 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
       shard.flightDone.wait(lock, [&] { return waitFor->done; });
       if (waitFor->result != nullptr) {
         shard.hits.fetch_add(1, std::memory_order_relaxed);
-        std::shared_ptr<const CompileResult> entry = waitFor->result;
+        std::shared_ptr<const ResultEntry> entry = waitFor->result;
         lock.unlock();
-        return replayHit(*entry);
+        return replayHit(entry->result);
       }
       // The leader failed; loop to retry (and maybe become the next leader).
     }
@@ -210,9 +222,9 @@ CompileResult PlanCache::getOrCompute(const PlanKey& key,
     finishFlight(shard, key, flight, nullptr);
     throw;
   }
-  std::shared_ptr<const CompileResult> snapshot;
-  if (result.ok) snapshot = std::make_shared<const CompileResult>(result);
-  finishFlight(shard, key, flight, std::move(snapshot));
+  std::shared_ptr<const ResultEntry> entry;
+  if (result.ok) entry = std::make_shared<const ResultEntry>(result);
+  finishFlight(shard, key, flight, std::move(entry));
   return result;
 }
 

@@ -48,6 +48,16 @@
 // entries are immutable once published and keyed by collision-guarded
 // fingerprints.
 //
+// Encoded replies: each result-tier entry also memoizes the
+// serializeCompileResult bytes of its result (lookupEncoded). The first
+// replay that asks encodes them, once, under the entry's own once-flag —
+// never at insert and never under a shard lock — and every later replay
+// shares the same immutable string. The bytes live and die with the entry,
+// so the memo is bounded by the result tier's capacity. They are kept next
+// to the result, not inside it: a copy of a CompileResult may be overlaid
+// (the runtime binder does exactly that), and a memo travelling with the
+// copy would describe the original.
+//
 // Counters are per-shard relaxed atomics. Hit counts are bumped off-lock on
 // the snapshot path; miss/eviction counts flip under the shard mutex, so a
 // stats() snapshot of one shard is internally coherent (entries never
@@ -75,6 +85,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 
 #include "driver/compiler.h"
 #include "driver/family_plan.h"
@@ -132,6 +143,14 @@ public:
   /// are served from the shard's lock-free snapshot.
   std::optional<CompileResult> lookup(const PlanKey& key);
 
+  /// The serializeCompileResult bytes of the result stored under `key`,
+  /// or nullptr. The bytes are encoded by the first call for an entry and
+  /// shared by every later one (see file comment). A hit counts like
+  /// lookup()'s; a miss counts NOTHING — the caller's compile that follows
+  /// (getOrCompute) counts it, so `misses` keeps meaning one fall-through
+  /// per compile.
+  std::shared_ptr<const std::string> lookupEncoded(const PlanKey& key);
+
   /// Stores a snapshot of `result` under `key`, overwriting any previous
   /// entry and evicting the shard's least recently used entry when over
   /// its capacity. Both a fresh insert and an overwrite count as a use.
@@ -172,11 +191,25 @@ public:
   static PlanCache& global();
 
 private:
+  /// Result-tier entry: the immutable stored result and the memo of its
+  /// encoded bytes (see file comment).
+  class ResultEntry {
+  public:
+    explicit ResultEntry(const CompileResult& r) : result(r) {}
+    const CompileResult result;
+    /// serializeCompileResult(result), encoded on the first call.
+    std::shared_ptr<const std::string> encoded() const;
+
+  private:
+    mutable std::once_flag encodeOnce_;
+    mutable std::shared_ptr<const std::string> encoded_;
+  };
+
   /// Per-key latch for in-flight computations. `done` flips under the
   /// owning shard's mutex; `result` is null when the leader failed.
   struct InFlight {
     bool done = false;
-    std::shared_ptr<const CompileResult> result;
+    std::shared_ptr<const ResultEntry> result;
   };
 
   /// Family-tier entry: the shared plan plus the digest guarding the
@@ -186,7 +219,7 @@ private:
     std::shared_ptr<const FamilyPlan> plan;
   };
 
-  using ResultMap = std::map<PlanKey, std::shared_ptr<const CompileResult>>;
+  using ResultMap = std::map<PlanKey, std::shared_ptr<const ResultEntry>>;
   using FamilyMap = std::map<FamilyKey, FamilyEntry>;
 
   /// One independently locked slice of the cache (see file comment).
@@ -227,9 +260,13 @@ private:
     return shards_[shardOf(key)];
   }
 
-  /// Inserts a stored snapshot and republishes; requires shard mutex.
-  void insertLocked(Shard& shard, const PlanKey& key,
-                    std::shared_ptr<const CompileResult> snapshot);
+  /// The one find-and-touch of a result lookup: probes the lock-free
+  /// snapshot, then the authoritative map under the shard mutex; on a find
+  /// re-touches the entry and counts a hit. A miss returns nullptr and
+  /// counts nothing — each caller decides.
+  static std::shared_ptr<const ResultEntry> findHit(Shard& shard, const PlanKey& key);
+  /// Inserts a stored entry and republishes; requires shard mutex.
+  void insertLocked(Shard& shard, const PlanKey& key, std::shared_ptr<const ResultEntry> entry);
   /// Splices `key` to the hot end of the shard's LRU list; requires shard
   /// mutex. No-op for a key that was evicted in the meantime.
   static void touchLocked(Shard& shard, const PlanKey& key);
@@ -242,7 +279,7 @@ private:
   /// Publishes the leader's outcome, stores it when non-null, erases the
   /// in-flight entry and wakes the shard's followers.
   void finishFlight(Shard& shard, const PlanKey& key, const std::shared_ptr<InFlight>& flight,
-                    std::shared_ptr<const CompileResult> snapshot);
+                    std::shared_ptr<const ResultEntry> entry);
   /// A memory replay of `entry`: a copy that shares its products, with
   /// cacheHit set and the serving-tier flags (diskHit, familyHit) cleared.
   /// artifactBound and boundArgs describe the artifact and are kept. The

@@ -45,9 +45,8 @@ void fields(V& v, S& q) {
 }
 
 /// The reply header. The CompileResult follows it as its own
-/// length-prefixed serializeCompileResult payload; roundTripMillis is
-/// client-side only.
-template <class V, Is<svc::WireCompileReply> S>
+/// length-prefixed serializeCompileResult payload.
+template <class V, Is<svc::WireReplyHeader> S>
 void fields(V& v, S& r) {
   v.tag(kTagCompileReply, "CompileReply");
   v(r.serverCacheHit, "serverCacheHit");
@@ -214,22 +213,26 @@ CompileRequest decodeCompileRequest(std::string_view payload) {
   return request;
 }
 
+std::string encodeCompileReply(const WireReplyHeader& header, const std::string& resultBytes) {
+  ByteWriter w;
+  schema::encode(w, header);
+  w.str(resultBytes);  // the result rides as its own length-prefixed payload
+  return w.take();
+}
+
 std::string encodeCompileReply(const CompileResult& result, double serverMillis) {
-  WireCompileReply header;  // the result rides as its own payload below
+  WireReplyHeader header;
   header.serverCacheHit = result.cacheHit;
   header.serverDiskHit = result.diskHit;
   header.serverFamilyHit = result.familyHit;
   header.serverMillis = serverMillis;
-  ByteWriter w;
-  schema::encode(w, header);
-  w.str(serializeCompileResult(result));
-  return w.take();
+  return encodeCompileReply(header, serializeCompileResult(result));
 }
 
 WireCompileReply decodeCompileReply(std::string_view payload) {
   ByteReader r(payload);
   WireCompileReply reply;
-  schema::decode(r, reply);
+  schema::decode(r, static_cast<WireReplyHeader&>(reply));
   reply.result = deserializeCompileResult(r.str());
   r.expectEnd();
   return reply;

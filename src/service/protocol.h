@@ -108,22 +108,31 @@ struct CompileRequest {
 std::string encodeCompileRequest(const CompileRequest& request);
 CompileRequest decodeCompileRequest(std::string_view payload);
 
-/// A compile reply: the full CompileResult plus the SERVER-side cache
-/// attribution. The serialized result never carries transport flags
-/// (support/serialize strips them), so the daemon's tier attribution rides
-/// next to it and clients can distinguish "warm for me" (round-trip time)
-/// from "warm on the server" (these flags).
-struct WireCompileReply {
+/// The SERVER-side cache attribution heading a compile reply. The
+/// serialized result never carries transport flags (support/serialize
+/// strips them), so the daemon's tier attribution rides next to it and
+/// clients can distinguish "warm for me" (round-trip time) from "warm on
+/// the server" (these flags).
+struct WireReplyHeader {
   bool serverCacheHit = false;
   bool serverDiskHit = false;
   bool serverFamilyHit = false;
   double serverMillis = 0;  ///< wall-clock of the server-side compile
+};
+
+/// A decoded compile reply: the header plus the full CompileResult.
+struct WireCompileReply : WireReplyHeader {
   /// Client-side: round-trip wall-clock, filled by ServiceClient (never on
   /// the wire).
   double roundTripMillis = 0;
   CompileResult result;
 };
 
+/// The one CompileReply encoder: `header`, then `resultBytes` — a
+/// serializeCompileResult payload, which the daemon may have encoded once
+/// and shared across replies (PlanCache::lookupEncoded).
+std::string encodeCompileReply(const WireReplyHeader& header, const std::string& resultBytes);
+/// Serialize-then-wrap: the header takes `result`'s tier flags.
 std::string encodeCompileReply(const CompileResult& result, double serverMillis);
 WireCompileReply decodeCompileReply(std::string_view payload);
 

@@ -4,12 +4,14 @@
 // + family tiers) optionally backed by a DiskPlanCache — and serves it over
 // a unix-domain stream socket speaking service/protocol.h frames. Every
 // client process that connects shares the same warm store, which makes the
-// daemon a third, networked cache tier: a fresh `emmapc --connect` whose
-// kernel family the daemon has seen is answered on the connection thread
-// itself by binding the family's size-generic record straight out of the
-// cache's epoch-published snapshot (WireStats::familyFastPath) — no pool
-// dispatch, no pipeline run, no emission. Families without a record fall
-// back to the pooled bind-and-emit path (CompileReply::serverFamilyHit).
+// daemon a third, networked cache tier. The connection thread answers what
+// it can from the cache's epoch-published snapshots, in one order: an exact
+// repeat from the result tier, with reply bytes encoded once per entry
+// (serverCacheHit); then a new size of a seen kernel family, by binding the
+// family's size-generic record (WireStats::familyFastPath). Neither
+// dispatches to the pool, runs the pipeline or emits. Everything else —
+// including families without a record, served by the pooled bind-and-emit
+// path (serverFamilyHit) — is compiled on the pool.
 //
 // Threading: one accept thread, one lightweight thread per connection
 // (clients are expected to be short-lived CLI/batch processes), and compile

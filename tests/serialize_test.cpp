@@ -207,11 +207,13 @@ void expectCloneParity(const CompileResult& r) {
     return p != nullptr && std::find(own.begin(), own.end(), p) != own.end();
   };
   ASSERT_EQ(copy.unit() != nullptr, r.unit() != nullptr);
-  if (r.unit() != nullptr && r.unit()->source != nullptr)
+  if (r.unit() != nullptr && r.unit()->source != nullptr) {
     EXPECT_TRUE(pointsIntoClone(copy.unit()->source));
+  }
   ASSERT_EQ(copy.dataPlan() != nullptr, r.dataPlan() != nullptr);
-  if (r.dataPlan() != nullptr && r.dataPlan()->block != nullptr)
+  if (r.dataPlan() != nullptr && r.dataPlan()->block != nullptr) {
     EXPECT_TRUE(pointsIntoClone(copy.dataPlan()->block));
+  }
 }
 
 TEST(CloneParity, EveryBuiltinKernelOnEveryBackend) {

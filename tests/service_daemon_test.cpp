@@ -7,6 +7,9 @@
 //    kernel families and sizes all succeed, and the daemon's family-tier
 //    misses equal the number of DISTINCT families (one cold pipeline per
 //    family, everything else served warm from the shared store).
+//  - Lookup order: an identical repeat is answered on the connection
+//    thread from the result tier, with one hit, no miss, and the entry's
+//    once-encoded result bytes in the reply.
 //  - Protocol defense: malformed frames and stale schema fingerprints get
 //    diagnostic ErrorReplies and count as protocol errors; the connection
 //    drops without disturbing other clients.
@@ -138,10 +141,13 @@ TEST(ServiceDaemonTest, ManyThreadsManyClientsMissOncePerFamily) {
 
   WireStats s = server.stats();
   // Each DISTINCT family misses the family tier exactly twice, both on its
-  // one cold pass: the connection-thread fast-path probe, then the
-  // in-pipeline lookup. Every later size binds the family record on the
-  // fast path and never reaches the result tier, so the result tier sees
-  // one miss per family — not one per size.
+  // one cold pass: the connection-thread bind probe, then the in-pipeline
+  // lookup. Every later request is answered on the connection thread: a
+  // repeat of the cold-compiled size by the exact-key result-tier probe
+  // (a hit, ahead of any family lookup), a new size by binding the family
+  // record. The exact-key probe counts no misses — the pool compile of a
+  // cold request counts its one — so the result tier sees one miss per
+  // family, not one per size.
   EXPECT_EQ(s.memory.familyMisses, 2 * kFamilies);
   EXPECT_EQ(s.memory.misses, kFamilies);
   const i64 totalRequests = static_cast<i64>(work.size() * (1 + kThreads * kClientsPerThread));
@@ -153,6 +159,53 @@ TEST(ServiceDaemonTest, ManyThreadsManyClientsMissOncePerFamily) {
   EXPECT_EQ(s.compileErrors, 0);
   EXPECT_EQ(s.protocolErrors, 0);
   EXPECT_EQ(s.connections, 1 + kThreads * kClientsPerThread);
+  server.stop();
+}
+
+TEST(ServiceDaemonTest, IdenticalRepeatIsServedFromTheResultTierWithSharedBytes) {
+  TempSocket sock;
+  ServiceServer server({sock.path, 2, "", 64});
+  server.start();
+  CompileRequest req = request("me", {256, 128, 16});
+  WireCompileReply cold = ServiceClient(sock.path).compile(req);
+  ASSERT_TRUE(cold.result.ok) << cold.result.firstError();
+  ASSERT_FALSE(cold.serverCacheHit);
+  const WireStats before = server.stats();
+
+  // The repeat over a raw socket, so the reply payload can be compared
+  // byte for byte.
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, sock.path.c_str(), sock.path.size() + 1);
+  int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  req.schemaFingerprint = serializeSchemaFingerprint();
+  ASSERT_TRUE(writeFrame(fd, MsgType::CompileRequest, encodeCompileRequest(req)));
+  MsgType type;
+  std::string payload;
+  std::string error;
+  ASSERT_EQ(readFrame(fd, type, payload, error), ReadStatus::Ok) << error;
+  ::close(fd);
+  ASSERT_EQ(type, MsgType::CompileReply);
+  const WireCompileReply repeat = decodeCompileReply(payload);
+  ASSERT_TRUE(repeat.result.ok);
+  // A memory replay's header: cache hit, no disk or family flag.
+  EXPECT_TRUE(repeat.serverCacheHit);
+  EXPECT_FALSE(repeat.serverDiskHit);
+  EXPECT_FALSE(repeat.serverFamilyHit);
+  // The payload is the header around the first reply's result bytes.
+  EXPECT_EQ(payload, encodeCompileReply(static_cast<const WireReplyHeader&>(repeat),
+                                        serializeCompileResult(cold.result)));
+
+  // Answered by the exact-key probe: one hit, no miss, no family bind.
+  const WireStats after = server.stats();
+  EXPECT_EQ(after.familyFastPath, before.familyFastPath);
+  EXPECT_EQ(after.memory.hits, before.memory.hits + 1);
+  EXPECT_EQ(after.memory.misses, before.memory.misses);
+  EXPECT_EQ(after.memory.familyHits + after.memory.familyMisses,
+            before.memory.familyHits + before.memory.familyMisses);
+  EXPECT_EQ(after.compiles, before.compiles + 1);
   server.stop();
 }
 

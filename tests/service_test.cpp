@@ -6,8 +6,10 @@
 
 #include <atomic>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "driver/compiler.h"
 #include "driver/plan_cache.h"
@@ -305,7 +307,7 @@ Compiler cachedMeCompiler(PlanCache* cache, const std::string& backend = "c") {
 }
 
 TEST(PlanCacheTest, WarmHitIsByteIdenticalAcrossBackends) {
-  for (const std::string& backend : {"c", "cuda", "cell"}) {
+  for (const char* backend : {"c", "cuda", "cell"}) {
     PlanCache cache;
     Compiler compiler = cachedMeCompiler(&cache, backend);
     CompileResult cold = compiler.compile();
@@ -435,6 +437,54 @@ TEST(PlanCacheTest, CapacityEvictsOldestEntries) {
   // The oldest (16) was evicted; the newer two still hit.
   EXPECT_FALSE(compiler.parameters({16, 16, 16}).compile(buildMatmulBlock(16, 16, 16)).cacheHit);
   EXPECT_TRUE(compiler.parameters({24, 24, 24}).compile(buildMatmulBlock(24, 24, 24)).cacheHit);
+}
+
+TEST(PlanCacheTest, EncodedBytesAreBuiltOnceSharedAndFreedOnEviction) {
+  CompileResult r = Compiler(buildMeBlock(32, 32, 8))
+                        .parameters({32, 32, 8})
+                        .memoryLimitBytes(8 * 1024)
+                        .compile();
+  ASSERT_TRUE(r.ok) << r.firstError();
+  PlanCache cache(1, 1);
+  const PlanKey key{1, 2, 3};
+  EXPECT_EQ(cache.lookupEncoded(key), nullptr);
+  EXPECT_EQ(cache.stats().misses, 0);  // the caller's compile counts misses
+  cache.insert(key, r);
+
+  // Four threads race the entry's first encode; all get the one string.
+  constexpr int kThreads = 4;
+  std::vector<std::shared_ptr<const std::string>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[t] = cache.lookupEncoded(key);
+    });
+  for (std::thread& t : threads) t.join();
+  ASSERT_NE(got[0], nullptr);
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(got[t], got[0]) << t;
+  EXPECT_EQ(*got[0], serializeCompileResult(r));
+  EXPECT_EQ(cache.stats().hits, kThreads);
+
+  // A second key evicts the first from the capacity-1 cache: the entry is
+  // no longer served and its bytes go with it. The newcomer's bytes are
+  // its own, never the evicted entry's.
+  std::weak_ptr<const std::string> evictedBytes = got[0];
+  got.clear();
+  CompileResult other = r;
+  other.artifact += "// another plan\n";
+  const PlanKey otherKey{4, 5, 6};
+  cache.insert(otherKey, other);
+  EXPECT_EQ(cache.lookupEncoded(key), nullptr);
+  EXPECT_TRUE(evictedBytes.expired());
+  std::shared_ptr<const std::string> otherBytes = cache.lookupEncoded(otherKey);
+  ASSERT_NE(otherBytes, nullptr);
+  EXPECT_EQ(*otherBytes, serializeCompileResult(other));
+  const PlanCache::Stats s = cache.stats();
+  EXPECT_EQ(s.evictions, 1);
+  EXPECT_EQ(s.misses, 0);
 }
 
 TEST(CellBackendTest, SelectionByNameForcesStaging) {
