@@ -16,8 +16,8 @@ std::atomic<std::uint64_t> g_emitterInvocations{0};
 
 void countEmit() { g_emitterInvocations.fetch_add(1, std::memory_order_relaxed); }
 
-/// Plain C rendering (ir/emit.h): the inspection/verification target every
-/// example prints and the interpreter-backed tests read. The text is
+/// Plain C rendering (ir/emit.h): display-only Figure-style text that every
+/// example prints; it does not compile and no test builds it. The text is
 /// already size-generic — sizes appear as named parameters, local extents
 /// print their closed-form bound expressions — so the only runtime slots
 /// are the size parameters themselves.

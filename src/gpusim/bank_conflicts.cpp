@@ -1,278 +1,40 @@
 #include "gpusim/bank_conflicts.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
+
+#include "ir/interp.h"
 
 namespace emm {
 
-namespace {
-
-using Env = std::vector<std::pair<std::string, i64>>;
-
-class ConflictWalker {
-public:
-  ConflictWalker(const CodeUnit& unit, const IntVec& params, const BankConflictOptions& options)
-      : unit_(unit), options_(options) {
-    EMM_CHECK(unit.source != nullptr, "CodeUnit without source block");
-    EMM_CHECK(static_cast<int>(params.size()) == unit.source->nparam(),
-              "parameter arity mismatch");
-    for (int j = 0; j < unit.source->nparam(); ++j)
-      env_.emplace_back(unit.source->paramNames[j], params[j]);
-    layoutBuffers();
-  }
-
-  BankConflictStats run() {
-    if (unit_.root != nullptr) walk(*unit_.root);
-    return stats_;
-  }
-
-private:
-  /// Mirrors the packing planner's arena: padded strides, base offsets by
-  /// prefix sum rounded to bank-row multiples.
-  void layoutBuffers() {
-    const i64 banks = std::max<i64>(1, options_.banks);
-    i64 offset = 0;
-    for (const LocalBuffer& b : unit_.localBuffers) {
-      std::vector<i64> padded;
-      for (int d = 0; d < b.ndim; ++d) padded.push_back(b.paddedExtent(d, env_));
-      std::vector<i64> strides(padded.size(), 1);
-      for (int d = static_cast<int>(padded.size()) - 2; d >= 0; --d)
-        strides[d] = mulChecked(strides[d + 1], padded[d + 1]);
-      i64 footprint = padded.empty() ? 0 : mulChecked(strides[0], padded[0]);
-      strides_.push_back(std::move(strides));
-      baseOffset_.push_back(offset);
-      i64 end = addChecked(offset, footprint);
-      offset = banks > 1 ? mulChecked(banks, (end + banks - 1) / banks) : end;
-    }
-  }
-
-  /// Flat word address of one local access in lane `l`'s environment.
-  i64 wordAddr(int localId, const IntVec& index) const {
-    const std::vector<i64>& strides = strides_[localId];
-    EMM_CHECK(index.size() == strides.size(), "local index arity mismatch");
-    i64 flat = baseOffset_[localId];
-    for (size_t k = 0; k < strides.size(); ++k)
-      flat = addChecked(flat, mulChecked(index[k], strides[k]));
-    const i64 wordsPerElem =
-        std::max<i64>(1, options_.elementBytes / std::max<i64>(1, options_.bankWidthBytes));
-    return mulChecked(flat, wordsPerElem);
-  }
-
+BankConflictStats countBankConflicts(const CodeUnit& unit, const IntVec& paramValues,
+                                     const BankConflictOptions& options) {
+  BankConflictStats stats;
+  const int banks = options.banks;
+  std::vector<i64> perBank(std::max(banks, 1), 0);
+  std::vector<i64> distinct;
   /// Tallies one warp-wide access from the per-lane word addresses; cycles =
   /// max over banks of DISTINCT addresses routed there (same-address lanes
   /// broadcast, the G80 half-warp rule).
-  void tally(const std::vector<i64>& laneAddrs) {
-    if (laneAddrs.empty()) return;
-    ++stats_.warpAccesses;
+  /// Addresses are never negative: the engine bounds-checks local indices.
+  auto tally = [&](const i64* laneAddrs, int n) {
+    if (n == 0) return;
+    ++stats.warpAccesses;
     i64 cycles = 1;
-    if (options_.banks > 1) {
-      std::map<i64, std::set<i64>> perBank;
-      for (i64 addr : laneAddrs) perBank[addr % options_.banks].insert(addr);
-      for (const auto& [bank, addrs] : perBank)
-        cycles = std::max<i64>(cycles, static_cast<i64>(addrs.size()));
+    if (banks > 1) {
+      distinct.assign(laneAddrs, laneAddrs + n);
+      std::sort(distinct.begin(), distinct.end());
+      distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
+      for (i64 addr : distinct) cycles = std::max(cycles, ++perBank[addr % banks]);
+      for (i64 addr : distinct) perBank[addr % banks] = 0;
     }
-    stats_.bankCycles += cycles;
-    if (cycles > 1) ++stats_.conflictedAccesses;
-  }
-
-  /// One local access site inside the warp: `addrOf(l)` evaluates the
-  /// address in lane l's environment.
-  template <typename AddrFn>
-  void warpAccess(AddrFn&& addrOf) {
-    std::vector<i64> addrs;
-    for (int l = 0; l < options_.warpSize; ++l)
-      if (mask_[l]) addrs.push_back(addrOf(l));
-    tally(addrs);
-  }
-
-  static IntVec evalIndex(const std::vector<AffExpr>& index, const Env& env) {
-    IntVec out;
-    out.reserve(index.size());
-    for (const AffExpr& e : index) out.push_back(e.evalExact(env));
-    return out;
-  }
-
-  /// The homogeneous (iters, params, 1) vector for a statement access,
-  /// mirroring the interpreter's Call handling.
-  IntVec callHom(const AstNode& n, const Statement& st, const Env& env) const {
-    IntVec hom;
-    hom.reserve(st.dim() + st.domain.nparam() + 1);
-    for (const AffExpr& a : n.callArgs) hom.push_back(a.evalExact(env));
-    for (int j = 0; j < st.domain.nparam(); ++j)
-      hom.push_back(AffExpr::var(unit_.source->paramNames[j]).evalExact(env));
-    hom.push_back(1);
-    return hom;
-  }
-
-  bool anyLaneActive() const {
-    for (int l = 0; l < options_.warpSize; ++l)
-      if (mask_[l]) return true;
-    return false;
-  }
-
-  void copyNode(const AstNode& n) {
-    const int nglobal = unit_.numGlobalArrays();
-    if (!inWarp_) {
-      if (n.srcArray >= nglobal) ++stats_.scalarAccesses;
-      if (n.dstArray >= nglobal) ++stats_.scalarAccesses;
-      return;
-    }
-    if (n.srcArray >= nglobal)
-      warpAccess(
-          [&](int l) { return wordAddr(n.srcArray - nglobal, evalIndex(n.srcIndex, lane_[l])); });
-    if (n.dstArray >= nglobal)
-      warpAccess(
-          [&](int l) { return wordAddr(n.dstArray - nglobal, evalIndex(n.dstIndex, lane_[l])); });
-  }
-
-  void callNode(const AstNode& n) {
-    const Statement& st = unit_.statements[n.stmtId];
-    if (st.writeAccess < 0) return;
-    const int nglobal = unit_.numGlobalArrays();
-    for (const Access& acc : st.accesses) {
-      if (acc.arrayId < nglobal) continue;
-      if (!inWarp_) {
-        ++stats_.scalarAccesses;
-        continue;
-      }
-      warpAccess([&](int l) {
-        return wordAddr(acc.arrayId - nglobal, acc.fn.apply(callHom(n, st, lane_[l])));
-      });
-    }
-  }
-
-  /// Lockstep SIMT execution of a loop inside the warp: the trip count is
-  /// driven by lane 0's bounds, but each lane binds ITS OWN value — its own
-  /// lower bound plus the shared iteration offset — and lanes whose value
-  /// passes their own upper bound are masked off for that iteration. This
-  /// is what carries the lane identity through tiled point loops like
-  /// `for (p0 = t0; p0 <= min(.., t0, ..); ...)`, which re-bind the spatial
-  /// index per thread.
-  void warpInnerFor(const AstNode& n) {
-    const i64 lo = n.lb.eval(env_);
-    const i64 hi = n.ub.eval(env_);
-    env_.emplace_back(n.iter, 0);
-    for (Env& le : lane_) le.emplace_back(n.iter, 0);
-    const std::vector<bool> savedMask = mask_;
-    for (i64 v = lo, k = 0; v <= hi; v += n.step, ++k) {
-      env_.back().second = v;
-      for (int l = 0; l < options_.warpSize; ++l) {
-        if (!savedMask[l]) continue;
-        const i64 vl = n.lb.eval(lane_[l]) + k * n.step;
-        lane_[l].back().second = vl;
-        mask_[l] = vl <= n.ub.eval(lane_[l]);
-      }
-      if (anyLaneActive())
-        for (const AstPtr& c : n.children) walk(*c);
-    }
-    mask_ = savedMask;
-    for (Env& le : lane_) le.pop_back();
-    env_.pop_back();
-  }
-
-  /// The outermost ThreadParallel loop: lanes are warpSize consecutive
-  /// iterations; the walk advances by whole warps.
-  void warpFor(const AstNode& n) {
-    const i64 lo = n.lb.eval(env_);
-    const i64 hi = n.ub.eval(env_);
-    env_.emplace_back(n.iter, 0);
-    inWarp_ = true;
-    lane_.assign(options_.warpSize, env_);
-    mask_.assign(options_.warpSize, false);
-    const i64 warpStride = mulChecked(n.step, static_cast<i64>(options_.warpSize));
-    for (i64 base = lo; base <= hi; base += warpStride) {
-      env_.back().second = base;
-      for (int l = 0; l < options_.warpSize; ++l) {
-        const i64 x = base + l * n.step;
-        lane_[l].back().second = x;
-        mask_[l] = x <= hi;
-      }
-      for (const AstPtr& c : n.children) walk(*c);
-    }
-    inWarp_ = false;
-    lane_.clear();
-    mask_.clear();
-    env_.pop_back();
-  }
-
-  void walk(const AstNode& n) {
-    switch (n.kind) {
-      case AstNode::Kind::Block:
-        for (const AstPtr& c : n.children) walk(*c);
-        break;
-      case AstNode::Kind::For: {
-        if (inWarp_) {
-          warpInnerFor(n);
-        } else if (n.loopKind == LoopKind::ThreadParallel) {
-          warpFor(n);
-        } else {
-          const i64 lo = n.lb.eval(env_);
-          const i64 hi = n.ub.eval(env_);
-          env_.emplace_back(n.iter, 0);
-          for (i64 v = lo; v <= hi; v += n.step) {
-            env_.back().second = v;
-            for (const AstPtr& c : n.children) walk(*c);
-          }
-          env_.pop_back();
-        }
-        break;
-      }
-      case AstNode::Kind::Guard: {
-        if (!inWarp_) {
-          for (const AffExpr& g : n.guards)
-            if (g.evalFloor(env_) < 0) return;
-          for (const AstPtr& c : n.children) walk(*c);
-          return;
-        }
-        // Inside the warp: mask lanes that fail, take the branch if any
-        // lane survives.
-        const std::vector<bool> savedMask = mask_;
-        for (int l = 0; l < options_.warpSize; ++l) {
-          if (!mask_[l]) continue;
-          for (const AffExpr& g : n.guards) {
-            if (g.evalFloor(lane_[l]) < 0) {
-              mask_[l] = false;
-              break;
-            }
-          }
-        }
-        if (anyLaneActive())
-          for (const AstPtr& c : n.children) walk(*c);
-        mask_ = savedMask;
-        break;
-      }
-      case AstNode::Kind::Call:
-        callNode(n);
-        break;
-      case AstNode::Kind::Copy:
-        copyNode(n);
-        break;
-      case AstNode::Kind::Sync:
-      case AstNode::Kind::Comment:
-        break;
-    }
-  }
-
-  const CodeUnit& unit_;
-  BankConflictOptions options_;
-  Env env_;                                ///< lane-0 environment, drives trip counts
-  std::vector<std::vector<i64>> strides_;  ///< padded flattening strides per buffer
-  std::vector<i64> baseOffset_;            ///< arena base offset per buffer, elements
-
-  bool inWarp_ = false;
-  std::vector<Env> lane_;    ///< per-lane environments (size warpSize)
-  std::vector<bool> mask_;   ///< per-lane active mask
-
-  BankConflictStats stats_;
-};
-
-}  // namespace
-
-BankConflictStats countBankConflicts(const CodeUnit& unit, const IntVec& paramValues,
-                                     const BankConflictOptions& options) {
-  ConflictWalker walker(unit, paramValues, options);
-  return walker.run();
+    stats.bankCycles += cycles;
+    if (cycles > 1) ++stats.conflictedAccesses;
+  };
+  const i64 wordsPerElem =
+      std::max<i64>(1, options.elementBytes / std::max<i64>(1, options.bankWidthBytes));
+  stats.scalarAccesses = executeLanes(unit, paramValues, options.warpSize, std::max(1, banks),
+                                      wordsPerElem, tally);
+  return stats;
 }
 
 }  // namespace emm

@@ -2,15 +2,16 @@
 //
 // The machine simulator charges scratchpad traffic a flat per-element cost;
 // this module supplies the missing second-order term: how many of those
-// accesses serialize because the lanes of a warp hit the same bank. It is a
-// static AST walker, not an interpreter — no array data is touched — so it
-// can grade a layout (see src/smem/buffer_layout.h) before any code runs.
+// accesses serialize because the lanes of a warp hit the same bank. It runs
+// the unit on the one CodeUnit engine (ir/interp.h) in its lane mode — no
+// array data is touched — so it can grade a layout (see
+// src/smem/buffer_layout.h) before any code runs; this module only tallies.
 //
 // Warp model: the OUTERMOST ThreadParallel loop is the lane dimension, as in
 // emit_cuda (threadIdx.x). A warp is `warpSize` consecutive iterations of
-// that loop at one fixed binding of everything around it. The walker
+// that loop at one fixed binding of everything around it. The engine
 // executes the subtree in SIMT lockstep: each lane carries its own variable
-// environment, inner loops advance all lanes by a shared iteration offset
+// slots, inner loops advance all lanes by a shared iteration offset
 // while each lane binds its own bound-derived value (so point loops like
 // `for (p0 = t0; ...)` keep the lane identity), and guards mask individual
 // lanes. At every Copy/Call touching a local buffer the active lanes' flat
@@ -40,7 +41,7 @@ struct BankConflictOptions {
   i64 bankWidthBytes = 4;  ///< successive words of this size map to successive banks
 };
 
-/// What the walker counted.
+/// What the counter tallied.
 struct BankConflictStats {
   i64 warpAccesses = 0;        ///< warp-wide local access instructions issued
   i64 bankCycles = 0;          ///< cycles after serialization; >= warpAccesses

@@ -105,8 +105,6 @@ struct Machine {
     m.warpsToSaturate = 1;               // no warp scheduling: one context
     return m;
   }
-
-  i64 totalSmemBytes() const { return mulChecked(smemBytesPerSM, numSMs); }
 };
 
 /// Work performed by ONE thread block for one kernel launch (totals across

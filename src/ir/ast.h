@@ -31,7 +31,6 @@ struct AffExpr {
   static AffExpr var(const std::string& name, i64 coeff = 1);
 
   AffExpr plus(i64 c) const;
-  bool isConstant() const { return terms.empty(); }
   /// True if the expression mentions `name`.
   bool mentions(const std::string& name) const;
 

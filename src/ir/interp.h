@@ -1,4 +1,9 @@
-// AST interpreter: executes generated code against real arrays.
+// The one engine that executes a CodeUnit: the AST interpreter.
+//
+// Each call lowers the unit (variables to slots, innermost binding first;
+// bounds and guards to min/max lists of slot rows; one local-buffer
+// geometry) and runs it over L lanes in SIMT lockstep, by the rules of
+// gpusim/bank_conflicts.h. With L = 1 that is exactly sequential execution.
 //
 // The interpreter is the semantic backbone of the test suite: the original
 // block (via executeReference) and any generated CodeUnit (tiled, with
@@ -9,8 +14,10 @@
 // The interpreter also produces a MemTrace: counts of global-memory and
 // local-buffer accesses and synchronizations, which the machine simulator
 // converts to time. This keeps "what the code does" and "what it costs" in
-// one place.
+// one place. Its lane mode (executeLanes) feeds the bank-conflict model.
 #pragma once
+
+#include <functional>
 
 #include "ir/ast.h"
 
@@ -38,5 +45,14 @@ MemTrace executeCodeUnit(const CodeUnit& unit, const IntVec& paramValues, ArrayS
 /// at the given parameter binding (the framework allocates all buffers for
 /// the duration of the block, matching the paper's footprint model).
 i64 scratchpadFootprint(const CodeUnit& unit, const IntVec& paramValues);
+
+/// Runs `unit` without data, `lanes` iterations of each outermost
+/// ThreadParallel loop to a warp, and calls `warpAccess` with the active
+/// lanes' word addresses (arena offset times `wordsPerElement`, bases rounded
+/// to `arenaAlign`) at every local access a warp makes. Returns the number of
+/// local accesses outside any ThreadParallel loop.
+i64 executeLanes(const CodeUnit& unit, const IntVec& paramValues, int lanes, i64 arenaAlign,
+                 i64 wordsPerElement,
+                 const std::function<void(const i64* wordAddrs, int activeLanes)>& warpAccess);
 
 }  // namespace emm

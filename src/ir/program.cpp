@@ -66,12 +66,6 @@ std::string Expr::str(const std::vector<std::string>& accessText) const {
   return os.str();
 }
 
-int ProgramBlock::arrayIdByName(const std::string& n) const {
-  for (size_t i = 0; i < arrays.size(); ++i)
-    if (arrays[i].name == n) return static_cast<int>(i);
-  return -1;
-}
-
 IntMat ProgramBlock::interleavedSchedule(int dim, int nparam, const std::vector<i64>& positions) {
   EMM_REQUIRE(static_cast<int>(positions.size()) == dim + 1,
               "interleavedSchedule needs dim+1 static positions");

@@ -102,8 +102,6 @@ struct ProgramBlock {
 
   int nparam() const { return static_cast<int>(paramNames.size()); }
 
-  int arrayIdByName(const std::string& n) const;
-
   /// Builds the canonical "2d+1"-style schedule for a statement occupying
   /// static position `pos` at each depth: (pos0, i0, pos1, i1, ..., posd).
   /// `positions` has dim+1 entries.
@@ -121,10 +119,10 @@ public:
   explicit ArrayStore(const std::vector<ArrayDecl>& decls);
 
   int numArrays() const { return static_cast<int>(decls_.size()); }
-  const ArrayDecl& decl(int id) const { return decls_[id]; }
 
   double get(int arrayId, const IntVec& index) const;
   void set(int arrayId, const IntVec& index, double v);
+  double& at(int arrayId, const IntVec& index) { return data_[arrayId][flatten(arrayId, index)]; }
 
   /// Fills array `arrayId` with a deterministic pseudo-random pattern.
   void fillPattern(int arrayId, unsigned seed);

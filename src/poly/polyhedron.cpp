@@ -56,21 +56,6 @@ void Polyhedron::addRange(int var, i64 lo, i64 hi) {
   addInequality(upper);
 }
 
-void Polyhedron::addLowerBound(int var, const IntVec& coeffs) {
-  EMM_CHECK(static_cast<int>(coeffs.size()) == cols(), "bound width mismatch");
-  IntVec row(cols());
-  for (int j = 0; j < cols(); ++j) row[j] = narrow(-static_cast<i128>(coeffs[j]));
-  row[var] = addChecked(row[var], 1);  // x - expr >= 0
-  addInequality(row);
-}
-
-void Polyhedron::addUpperBound(int var, const IntVec& coeffs) {
-  EMM_CHECK(static_cast<int>(coeffs.size()) == cols(), "bound width mismatch");
-  IntVec row = coeffs;
-  row[var] = subChecked(row[var], 1);  // expr - x >= 0
-  addInequality(row);
-}
-
 namespace {
 
 bool isZeroButConst(const IntVec& row) {

@@ -53,9 +53,6 @@ public:
     EMM_CHECK(dim >= 0 && nparam >= 0, "negative polyhedron shape");
   }
 
-  /// The universe polyhedron (no constraints).
-  static Polyhedron universe(int dim, int nparam) { return Polyhedron(dim, nparam); }
-
   int dim() const { return dim_; }
   int nparam() const { return nparam_; }
   int cols() const { return dim_ + nparam_ + 1; }
@@ -71,10 +68,6 @@ public:
 
   /// Convenience: adds lo <= x_var <= hi for constants lo, hi.
   void addRange(int var, i64 lo, i64 hi);
-  /// Convenience: x_var >= coeffs . [x,p,1].
-  void addLowerBound(int var, const IntVec& coeffs);
-  /// Convenience: x_var <= coeffs . [x,p,1].
-  void addUpperBound(int var, const IntVec& coeffs);
 
   /// Gcd-normalizes rows, drops tautologies and duplicates. Returns false if
   /// a trivially unsatisfiable constraint (e.g. 0 >= 1 or gcd test on an
